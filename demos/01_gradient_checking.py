@@ -7,7 +7,7 @@ compares every analytic gradient coordinate against central differences.
 import numpy as np
 
 from latent_anon.models import VaeModel, augmented_loss, loss_and_gradients
-from latent_anon.nn import MLP, Tape, grad_check, squared_error
+from latent_anon.nn import MLP, grad_check, squared_error
 
 rng = np.random.default_rng(0)
 
@@ -16,14 +16,13 @@ mlp = MLP([5, 16, 8, 3], ["tanh", "tanh", "identity"], rng)
 x = rng.standard_normal((10, 5))
 target = rng.standard_normal((10, 3))
 
-tape = Tape()
-y, _ = mlp.forward(x, tape)
-tape.backward(y - target)
+y, caches = mlp.forward(x)
+_, grads = mlp.backward(y - target, caches)
 
 result = grad_check(
     lambda: float(squared_error(mlp.forward(x)[0], target).sum()),
     mlp.parameters(),
-    tape.grads(mlp.parameters()),
+    grads,
     eps=1e-5,
 )
 print(f"MLP squared-error loss: {result.n_checked} coordinates checked, "
@@ -36,7 +35,7 @@ yb = rng.integers(0, 3, size=6)
 noise = rng.standard_normal((6, 4))
 alpha, beta = 2.0, 1.5
 
-breakdown, tape = loss_and_gradients(model, xb, yb, alpha, beta, noise)
+breakdown, grads = loss_and_gradients(model, xb, yb, alpha, beta, noise)
 print(f"\naugmented loss on a random batch: total {breakdown.total:.4f} "
       f"(recon {breakdown.reconstruction:.4f}, kl {breakdown.kl:.4f}, "
       f"classification {breakdown.classification:.4f})")
@@ -44,7 +43,7 @@ print(f"\naugmented loss on a random batch: total {breakdown.total:.4f} "
 result = grad_check(
     lambda: augmented_loss(model, xb, yb, alpha, beta, noise).total,
     model.parameters(),
-    tape.grads(model.parameters()),
+    grads,
     eps=1e-5,
 )
 print(f"augmented loss gradients: {result.n_checked} coordinates checked, "

@@ -134,7 +134,9 @@ def _load_models_dir(models_dir):
 def _build_registry(args, require_table=True):
     vaes, public_clf, private_clf = _load_models_dir(args.models)
     table = load_table(args.table) if require_table else None
-    mode = {"det": "deterministic", "prob": "probabilistic"}.get(args.mode, args.mode)
+    mode = {"det": "deterministic", "prob": "probabilistic", "reconstruct": "identity"}.get(
+        args.mode, args.mode
+    )
     policy = ModifyPolicy(mode=mode, n_classes=private_clf.n_classes)
     registry = ModelRegistry(
         vaes=vaes,
@@ -413,10 +415,6 @@ def cmd_eval(args, out):
     else:
         if not args.table:
             raise PipelineError("--table is required unless --mode none")
-        mode = {"det": "deterministic", "prob": "probabilistic", "reconstruct": "identity"}.get(
-            args.mode, args.mode
-        )
-        args.mode = mode
         registry = _build_registry(args)
         public_clf = registry.public_classifier
         private_clf = registry.private_classifier

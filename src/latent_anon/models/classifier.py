@@ -4,7 +4,6 @@ import numpy as np
 
 from ..nn.layers import MLP
 from ..nn.losses import cross_entropy_from_labels
-from ..nn.tape import Tape
 
 
 class Classifier:
@@ -50,15 +49,16 @@ class Classifier:
         return int(np.argmax(probs)) if probs.ndim == 1 else np.argmax(probs, axis=-1)
 
     def loss_and_gradients(self, x, labels):
-        """Summed cross entropy over the batch plus a gradient tape."""
+        """Summed cross entropy over the batch plus gradients aligned with parameters()."""
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(labels, dtype=int)
         probs, caches = self.mlp.forward(xb)
         ce = cross_entropy_from_labels(probs, y)
-        tape = Tape()
         g = probs.copy()
         g[np.arange(xb.shape[0]), y] -= 1.0
-        d = self.mlp.layers[-1].backward_preactivation(g, caches[-1], tape)
+        d, d_w, d_b = self.mlp.layers[-1].backward_preactivation(g, caches[-1])
+        grads = [d_w, d_b]
         for layer, cache in zip(reversed(self.mlp.layers[:-1]), reversed(caches[:-1])):
-            d = layer.backward_into(d, cache, tape)
-        return float(ce.sum()), tape
+            d, d_w, d_b = layer.backward(d, cache)
+            grads[:0] = (d_w, d_b)
+        return float(ce.sum()), grads

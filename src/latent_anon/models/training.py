@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..nn.optim import Adam, Sgd
+from ..nn.optim import Adam
 from .classifier import Classifier
 from .vae import VaeModel, loss_and_gradients
 
@@ -20,18 +20,9 @@ class TrainConfig:
     seed: int = 0
     latent_dim: int = 8
     hidden: tuple = (64, 32)
-    optimizer: str = "adam"
 
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
-
-
-def _make_optimizer(config):
-    if config.optimizer == "adam":
-        return Adam(learning_rate=config.learning_rate)
-    if config.optimizer == "sgd":
-        return Sgd(learning_rate=config.learning_rate)
-    raise ValueError(f"unknown optimizer {config.optimizer!r}")
 
 
 def _stack(embeddings, attribute):
@@ -76,7 +67,7 @@ def train_vae(embeddings, config, n_private=None):
     history = []
     if config.epochs == 0:
         return model, history
-    opt = _make_optimizer(config)
+    opt = Adam(learning_rate=config.learning_rate)
     params = model.parameters()
     n = x.shape[0]
     for _ in range(config.epochs):
@@ -85,10 +76,10 @@ def train_vae(embeddings, config, n_private=None):
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             noise = rng.standard_normal((idx.size, config.latent_dim))
-            breakdown, tape = loss_and_gradients(
+            breakdown, grads = loss_and_gradients(
                 model, x[idx], y[idx], config.alpha, config.beta, noise
             )
-            opt.step(params, tape.grads(params))
+            opt.step(params, grads)
             epoch_total += breakdown.total
         history.append(epoch_total / n)
     return model, history
@@ -108,7 +99,7 @@ def train_classifier(embeddings, attribute, config, n_classes=None):
     history = []
     if config.epochs == 0:
         return model, history
-    opt = _make_optimizer(config)
+    opt = Adam(learning_rate=config.learning_rate)
     params = model.parameters()
     n = x.shape[0]
     for _ in range(config.epochs):
@@ -116,8 +107,8 @@ def train_classifier(embeddings, attribute, config, n_classes=None):
         epoch_total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            ce, tape = model.loss_and_gradients(x[idx], y[idx])
-            opt.step(params, tape.grads(params))
+            ce, grads = model.loss_and_gradients(x[idx], y[idx])
+            opt.step(params, grads)
             epoch_total += ce
         history.append(epoch_total / n)
     return model, history

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..nn.layers import MLP, Dense
 from ..nn.losses import cross_entropy_from_labels, squared_error
-from ..nn.tape import Tape
 
 
 @dataclass
@@ -227,30 +226,33 @@ def augmented_loss(model, x, labels, alpha, beta, noise):
 
 
 def loss_and_gradients(model, x, labels, alpha, beta, noise):
-    """Loss breakdown plus a tape holding gradients for model.parameters().
+    """Loss breakdown plus gradients aligned with model.parameters().
 
     The reverse sweep is hand-orchestrated: the latent gradient collects the
     decoder branch and the alpha-weighted classification branch, then flows
     into mu and logvar together with the beta-weighted KL terms.
     """
     state = _forward_pass(model, x, labels, noise)
-    tape = Tape()
     xb, y, eb = state["xb"], state["y"], state["eb"]
     mu, logvar, sigma, z = state["mu"], state["logvar"], state["sigma"], state["z"]
     b = xb.shape[0]
 
     d_xhat = state["x_hat"] - xb
-    d_z = model.decoder.backward(d_xhat, state["dec_caches"], tape)
+    d_z, dec_grads = model.decoder.backward(d_xhat, state["dec_caches"])
 
     # fused softmax + cross entropy; exact while probs stay above the log floor
     g = state["probs"].copy()
     g[np.arange(b), y] -= 1.0
     g *= alpha
-    d_z = d_z + model.class_head.backward_preactivation(g, state["cls_cache"], tape)
+    d_z_cls, d_w_cls, d_b_cls = model.class_head.backward_preactivation(g, state["cls_cache"])
+    d_z = d_z + d_z_cls
 
     d_mu = d_z + beta * mu
     d_logvar = d_z * eb * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0)
-    d_h = model.mu_head.backward_into(d_mu, state["mu_cache"], tape)
-    d_h = d_h + model.logvar_head.backward_into(d_logvar, state["lv_cache"], tape)
-    model.encoder.backward(d_h, state["enc_caches"], tape)
-    return _breakdown(state, alpha, beta), tape
+    d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, state["mu_cache"])
+    d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, state["lv_cache"])
+    d_h = d_h + d_h_lv
+    _, enc_grads = model.encoder.backward(d_h, state["enc_caches"])
+    # same order as VaeModel.parameters()
+    grads = enc_grads + [d_w_mu, d_b_mu, d_w_lv, d_b_lv] + dec_grads + [d_w_cls, d_b_cls]
+    return _breakdown(state, alpha, beta), grads

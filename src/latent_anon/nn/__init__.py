@@ -1,5 +1,5 @@
 from .gradcheck import GradCheckReport, grad_check
-from .layers import ACTIVATIONS, MLP, Dense, dense_forward
+from .layers import ACTIVATIONS, MLP, Dense
 from .losses import (
     LOG_FLOOR,
     cross_entropy,
@@ -8,9 +8,8 @@ from .losses import (
     softmax,
     squared_error,
 )
-from .optim import Adam, Sgd
+from .optim import Adam
 from .serialize import ContainerError, load_tensors, save_tensors
-from .tape import Tape
 
 __all__ = [
     "ACTIVATIONS",
@@ -20,11 +19,8 @@ __all__ = [
     "GradCheckReport",
     "LOG_FLOOR",
     "MLP",
-    "Sgd",
-    "Tape",
     "cross_entropy",
     "cross_entropy_from_labels",
-    "dense_forward",
     "grad_check",
     "load_tensors",
     "one_hot",

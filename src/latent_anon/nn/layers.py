@@ -38,6 +38,16 @@ def _activation_backward(name, z, y, d_y):
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _as_batch(d, z, single):
+    """Upstream gradient as a (B, n_out) batch, checked against the output z."""
+    d2 = np.asarray(d, dtype=float)
+    if single:
+        d2 = d2[None, :]
+    if d2.shape != z.shape:
+        raise ValueError(f"gradient shape {np.shape(d)} does not match output {z.shape}")
+    return d2
+
+
 class Dense:
     """Fully connected layer: y = activation(W @ x + b).
 
@@ -73,50 +83,24 @@ class Dense:
 
     def backward(self, d_out, cache):
         """Returns (d_x, d_W, d_b) for the upstream gradient d_out."""
-        x2, z, y, single = cache
-        d2 = np.asarray(d_out, dtype=float)
-        if single:
-            d2 = d2[None, :]
-        if d2.shape != z.shape:
-            raise ValueError(f"gradient shape {d_out.shape} does not match output {z.shape}")
+        _, z, y, single = cache
+        d2 = _as_batch(d_out, z, single)
         dz = _activation_backward(self.activation, z, y, d2)
-        d_w = dz.T @ x2
-        d_b = dz.sum(axis=0)
-        d_x = dz @ self.W
-        return (d_x[0] if single else d_x), d_w, d_b
+        return self.backward_preactivation(dz[0] if single else dz, cache)
 
-    def backward_into(self, d_out, cache, tape):
-        """backward() plus gradient accumulation on the tape."""
-        d_x, d_w, d_b = self.backward(d_out, cache)
-        tape.accumulate(self.W, d_w)
-        tape.accumulate(self.b, d_b)
-        return d_x
-
-    def backward_preactivation(self, d_z, cache, tape):
-        """Backward from a gradient w.r.t. the pre-activation z.
+    def backward_preactivation(self, d_z, cache):
+        """Returns (d_x, d_W, d_b) for a gradient w.r.t. the pre-activation z.
 
         Used when the activation derivative is fused into the loss gradient
         (softmax + cross entropy).
         """
         x2, z, _, single = cache
-        dz = np.asarray(d_z, dtype=float)
-        if single:
-            dz = dz[None, :]
-        if dz.shape != z.shape:
-            raise ValueError(f"gradient shape {d_z.shape} does not match output {z.shape}")
-        tape.accumulate(self.W, dz.T @ x2)
-        tape.accumulate(self.b, dz.sum(axis=0))
+        dz = _as_batch(d_z, z, single)
         d_x = dz @ self.W
-        return d_x[0] if single else d_x
+        return (d_x[0] if single else d_x), dz.T @ x2, dz.sum(axis=0)
 
     def parameters(self):
         return [self.W, self.b]
-
-
-def dense_forward(x, layer):
-    """Convenience wrapper: one forward pass, cache discarded."""
-    y, _ = layer.forward(x)
-    return y
 
 
 class MLP:
@@ -136,20 +120,21 @@ class MLP:
         self.sizes = tuple(sizes)
         self.activations = tuple(activations)
 
-    def forward(self, x, tape=None):
+    def forward(self, x):
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x)
             caches.append(cache)
-            if tape is not None:
-                tape.record(layer, cache)
         return x, caches
 
-    def backward(self, d_out, caches, tape):
+    def backward(self, d_out, caches):
+        """Returns (d_x, grads) with grads aligned with parameters()."""
+        grads = []
         d = d_out
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            d = layer.backward_into(d, cache, tape)
-        return d
+            d, d_w, d_b = layer.backward(d, cache)
+            grads[:0] = (d_w, d_b)
+        return d, grads
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]

@@ -1,28 +1,6 @@
-"""Optimizers. Updates are in place so parameter identity is stable."""
+"""The Adam optimizer. Updates are in place so parameter identity is stable."""
 
 import numpy as np
-
-
-def _check_pairs(params, grads):
-    if len(params) != len(grads):
-        raise ValueError(f"{len(params)} parameters but {len(grads)} gradients")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-
-
-class Sgd:
-    """Plain gradient descent, mainly for tests: p -= lr * g."""
-
-    def __init__(self, learning_rate=0.01):
-        self.learning_rate = learning_rate
-        self.step_count = 0
-
-    def step(self, params, grads):
-        _check_pairs(params, grads)
-        self.step_count += 1
-        for p, g in zip(params, grads):
-            p -= self.learning_rate * g
 
 
 class Adam:
@@ -43,7 +21,12 @@ class Adam:
         self._v = None
 
     def step(self, params, grads):
-        _check_pairs(params, grads)
+        """Update params in place from grads, one gradient per parameter in order."""
+        if len(params) != len(grads):
+            raise ValueError(f"{len(params)} parameters but {len(grads)} gradients")
+        for p, g in zip(params, grads):
+            if p.shape != g.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]

@@ -217,10 +217,7 @@ class ConstantCoin:
 
 def modify_deterministic(i, n_classes, mapping=None):
     """Always move to the mapped class; never returns i itself."""
-    if not 0 <= i < n_classes:
-        raise ValueError(f"class {i} outside [0, {n_classes})")
-    mapping = cyclic_mapping(n_classes) if mapping is None else validate_mapping(mapping, n_classes)
-    return mapping[i]
+    return ModifyPolicy("deterministic", n_classes, mapping).modify(i)[0]
 
 
 def modify_probabilistic(i, n_classes, coin, mapping=None, target="mapping"):
@@ -230,18 +227,7 @@ def modify_probabilistic(i, n_classes, coin, mapping=None, target="mapping"):
     uniformly random other class when the coin lands on apply; the default
     follows the fixed mapping.
     """
-    if not 0 <= i < n_classes:
-        raise ValueError(f"class {i} outside [0, {n_classes})")
-    mapping = cyclic_mapping(n_classes) if mapping is None else validate_mapping(mapping, n_classes)
-    if target not in ("mapping", "uniform"):
-        raise ValueError("target must be 'mapping' or 'uniform'")
-    if not coin.flip():
-        return i, False
-    if target == "uniform" and n_classes > 2:
-        offset = coin.choice(n_classes - 1)
-        others = [c for c in range(n_classes) if c != i]
-        return others[offset], True
-    return mapping[i], True
+    return ModifyPolicy("probabilistic", n_classes, mapping, target).modify(i, coin)
 
 
 @dataclass
@@ -261,6 +247,8 @@ class ModifyPolicy:
     def __post_init__(self):
         if self.mode not in ("deterministic", "probabilistic", "identity"):
             raise ValueError(f"unknown modify mode {self.mode!r}")
+        if self.target not in ("mapping", "uniform"):
+            raise ValueError("target must be 'mapping' or 'uniform'")
         if self.mode != "identity":
             if self.mapping is None:
                 self.mapping = cyclic_mapping(self.n_classes)
@@ -271,11 +259,19 @@ class ModifyPolicy:
         """Returns (target class, applied flag)."""
         if self.mode == "identity":
             return i, False
+        if not 0 <= i < self.n_classes:
+            raise ValueError(f"class {i} outside [0, {self.n_classes})")
         if self.mode == "deterministic":
-            return modify_deterministic(i, self.n_classes, self.mapping), True
+            return self.mapping[i], True
         if coin is None:
             raise ValueError("probabilistic mode needs a randomness source")
-        return modify_probabilistic(i, self.n_classes, coin, self.mapping, self.target)
+        if not coin.flip():
+            return i, False
+        if self.target == "uniform" and self.n_classes > 2:
+            offset = coin.choice(self.n_classes - 1)
+            others = [c for c in range(self.n_classes) if c != i]
+            return others[offset], True
+        return self.mapping[i], True
 
 
 # --- table file format --------------------------------------------------------

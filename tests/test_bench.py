@@ -87,10 +87,18 @@ class TestBenchmarkPipeline:
         rng = np.random.default_rng(3)
         small = list(rng.standard_normal((150, 48)))
         large = list(rng.standard_normal((300, 48)))
-        r_small = benchmark_pipeline(registry, small, warmup=50, repetitions=2, pin_core=False)
-        r_large = benchmark_pipeline(registry, large, warmup=50, repetitions=2, pin_core=False)
-        ratio = r_large.total.total_s / r_small.total.total_s
-        assert 1.4 <= ratio <= 2.6
+        # a shared machine can switch speed every few milliseconds, so one run of
+        # each size may see different speeds; alternating three runs per size and
+        # pooling their totals gives both sizes the same mix
+        def total_s(embeddings):
+            report = benchmark_pipeline(registry, embeddings, warmup=50, repetitions=2, pin_core=False)
+            return report.total.total_s
+
+        small_s = large_s = 0.0
+        for _ in range(3):
+            small_s += total_s(small)
+            large_s += total_s(large)
+        assert 1.4 <= large_s / small_s <= 2.6
 
     def test_nonnegative_and_ordered_percentiles(self):
         registry = untrained_registry()

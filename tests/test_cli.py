@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from latent_anon.cli import main
+from latent_anon.cli import build_parser, main
 from latent_anon.data import load_embeddings
 from latent_anon.transform import compute_mean_table, load_table, save_table
 
@@ -207,6 +207,20 @@ class TestEvalAttackBench:
         w = json.loads((out / "eval.json").read_text())["weighted"]
         assert w["private_after"] < w["private_before"]
         assert w["public_after"] >= 0.8
+
+    def test_eval_config_echo_reparses(self, workspace, tmp_path):
+        out = tmp_path / "eval_reconstruct"
+        assert main([
+            "eval", "--archive", str(workspace["data"]), "--models", str(workspace["models"]),
+            "--table", str(workspace["table"]), "--mode", "reconstruct", "--out", str(out),
+        ]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["mode"] == "reconstruct"
+        args = build_parser().parse_args([
+            "eval", "--archive", echo["archive"], "--models", echo["models"],
+            "--table", echo["table"], "--mode", echo["mode"], "--out", echo["out"],
+        ])
+        assert args.mode == "reconstruct"
 
     def test_attack_reproducible(self, workspace, tmp_path):
         reports = []

@@ -1,5 +1,6 @@
 """VAE math: encoding, reparameterized sampling, the KL closed form, the
-augmented loss and its gradients, and the latent classification head."""
+augmented loss and its gradients, the latent classification head, and the
+attribute classifier's gradients."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from latent_anon.models import (
+    Classifier,
     LatentDistribution,
     VaeModel,
     augmented_loss,
@@ -15,7 +17,7 @@ from latent_anon.models import (
     reconstruction_loss,
     sample_latent,
 )
-from latent_anon.nn import grad_check
+from latent_anon.nn import cross_entropy_from_labels, grad_check
 
 
 def tiny_vae(seed=0, input_dim=6, latent_dim=3, n_private=2, hidden=(8,)):
@@ -297,12 +299,11 @@ class TestAugmentedLossGradients:
         y = rng.integers(0, 2, size=4)
         noise = rng.standard_normal((4, 3))
         alpha, beta = 1.7, 0.8
-        breakdown, tape = loss_and_gradients(model, x, y, alpha, beta, noise)
-        params = model.parameters()
+        breakdown, grads = loss_and_gradients(model, x, y, alpha, beta, noise)
         report = grad_check(
             lambda: augmented_loss(model, x, y, alpha, beta, noise).total,
-            params,
-            tape.grads(params),
+            model.parameters(),
+            grads,
             eps=1e-5,
         )
         assert report.max_rel_error < 1e-5
@@ -313,9 +314,10 @@ class TestAugmentedLossGradients:
         x = rng.standard_normal((4, 6))
         y = rng.integers(0, 2, size=4)
         noise = rng.standard_normal((4, 3))
-        _, tape = loss_and_gradients(model, x, y, alpha=0.0, beta=1.0, noise=noise)
-        assert np.all(tape.grad(model.class_head.W) == 0.0)
-        assert np.all(tape.grad(model.class_head.b) == 0.0)
+        _, grads = loss_and_gradients(model, x, y, alpha=0.0, beta=1.0, noise=noise)
+        d_w, d_b = grads[-2:]  # class_head comes last in parameters()
+        assert np.all(d_w == 0.0)
+        assert np.all(d_b == 0.0)
 
     def test_reparameterized_sample_is_deterministic_in_noise(self):
         model = tiny_vae(29)
@@ -333,5 +335,29 @@ class TestAugmentedLossGradients:
         x = rng.standard_normal((2, 6))
         y = rng.integers(0, 2, size=2)
         noise = rng.standard_normal((2, 3))
-        _, tape = loss_and_gradients(model, x, y, alpha=0.0, beta=0.0, noise=noise)
-        assert np.any(tape.grad(model.encoder.layers[0].W) != 0.0)
+        _, grads = loss_and_gradients(model, x, y, alpha=0.0, beta=0.0, noise=noise)
+        assert np.any(grads[0] != 0.0)  # encoder.layers[0].W
+
+
+class TestClassifierGradients:
+    def test_matches_finite_differences(self):
+        # fused softmax + cross entropy at the output, relu hidden layers
+        rng = np.random.default_rng(34)
+        clf = Classifier(5, 3, hidden=(6, 4), rng=rng)
+        x = rng.standard_normal((4, 5))
+        y = rng.integers(0, 3, size=4)
+        _, grads = clf.loss_and_gradients(x, y)
+
+        def margins():
+            _, caches = clf.mlp.forward(x)
+            return np.concatenate([cache[1].ravel() for cache in caches[:-1]])
+
+        report = grad_check(
+            lambda: float(cross_entropy_from_labels(clf.predict_proba(x), y).sum()),
+            clf.parameters(),
+            grads,
+            eps=1e-5,
+            kink_margins=margins,
+        )
+        assert report.n_checked > 0
+        assert report.max_rel_error < 1e-6

@@ -13,10 +13,7 @@ from latent_anon.nn import (
     Adam,
     ContainerError,
     Dense,
-    Sgd,
-    Tape,
     cross_entropy,
-    dense_forward,
     grad_check,
     load_tensors,
     one_hot,
@@ -38,22 +35,22 @@ def make_dense(w, b, activation="identity"):
 class TestDenseForward:
     def test_identity_weights(self):
         layer = make_dense(np.eye(2), [0.0, 0.0])
-        assert np.allclose(dense_forward([3.0, -1.0], layer), [3.0, -1.0])
+        assert np.allclose(layer.forward([3.0, -1.0])[0], [3.0, -1.0])
 
     def test_zero_weights_return_bias(self):
         layer = make_dense(np.zeros((2, 3)), [1.0, 2.0])
         for x in ([0.0, 0.0, 0.0], [5.0, -2.0, 7.0]):
-            assert np.allclose(dense_forward(x, layer), [1.0, 2.0])
+            assert np.allclose(layer.forward(x)[0], [1.0, 2.0])
 
     def test_relu_hand_computed(self):
         layer = make_dense([[1.0, 2.0], [0.0, 1.0]], [0.5, -0.5], "relu")
         # pre-activation [-0.5, -1.5], both clipped
-        assert np.allclose(dense_forward([1.0, -1.0], layer), [0.0, 0.0])
+        assert np.allclose(layer.forward([1.0, -1.0])[0], [0.0, 0.0])
 
     def test_shape_mismatch(self):
         layer = make_dense(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
-            dense_forward([1.0, 2.0, 3.0], layer)
+            layer.forward([1.0, 2.0, 3.0])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -84,8 +81,8 @@ class TestDenseForward:
         layer = Dense(5, 3, "identity", rng)
         layer.b[...] = 0.0
         x, y = rng.standard_normal(5), rng.standard_normal(5)
-        lhs = dense_forward(alpha * x + beta * y, layer)
-        rhs = alpha * dense_forward(x, layer) + beta * dense_forward(y, layer)
+        lhs = layer.forward(alpha * x + beta * y)[0]
+        rhs = alpha * layer.forward(x)[0] + beta * layer.forward(y)[0]
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -160,34 +157,25 @@ class TestBackward:
     def test_linear(self):
         # loss = w * x with x = 2: dloss/dw = 2
         layer = make_dense([[1.5]], [0.0])
-        tape = Tape()
         y, cache = layer.forward(np.array([2.0]))
-        tape.record(layer, cache)
-        tape.backward(np.array([1.0]))
-        assert tape.grad(layer.W)[0, 0] == pytest.approx(2.0)
+        _, d_w, _ = layer.backward(np.array([1.0]), cache)
+        assert d_w[0, 0] == pytest.approx(2.0)
 
     def test_quadratic(self):
         # loss = (w - 3)^2 at w = 1 has gradient -4; realized as a dense layer
         # with input 1 feeding the squared-error loss against target 3
         layer = make_dense([[1.0]], [0.0])
-        tape = Tape()
         y, cache = layer.forward(np.array([1.0]))
-        tape.record(layer, cache)
-        tape.backward(y - np.array([3.0]))  # d/dy of 0.5*(y-3)^2, doubled below
-        assert 2.0 * tape.grad(layer.W)[0, 0] == pytest.approx(-4.0)
-
-    def test_backward_without_forward(self):
-        with pytest.raises(RuntimeError):
-            Tape().backward(np.array([1.0]))
+        # d/dy of 0.5*(y-3)^2, doubled below
+        _, d_w, _ = layer.backward(y - np.array([3.0]), cache)
+        assert 2.0 * d_w[0, 0] == pytest.approx(-4.0)
 
     def test_gradient_shapes_match_parameters(self):
         rng = np.random.default_rng(5)
         mlp = MLP([4, 6, 3], ["tanh", "identity"], rng)
-        tape = Tape()
-        y, _ = mlp.forward(rng.standard_normal((2, 4)), tape)
-        tape.backward(np.ones_like(y))
-        for p in mlp.parameters():
-            assert tape.grad(p).shape == p.shape
+        y, caches = mlp.forward(rng.standard_normal((2, 4)))
+        _, grads = mlp.backward(np.ones_like(y), caches)
+        assert [g.shape for g in grads] == [p.shape for p in mlp.parameters()]
 
     def test_mlp_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -199,10 +187,9 @@ class TestBackward:
             y, _ = mlp.forward(x)
             return float(squared_error(y, target).sum())
 
-        tape = Tape()
-        y, _ = mlp.forward(x, tape)
-        tape.backward(y - target)
-        report = grad_check(loss, mlp.parameters(), tape.grads(mlp.parameters()), eps=1e-5)
+        y, caches = mlp.forward(x)
+        _, grads = mlp.backward(y - target, caches)
+        report = grad_check(loss, mlp.parameters(), grads, eps=1e-5)
         assert report.max_rel_error < 1e-6
 
     def test_softmax_activation_backward(self):
@@ -212,12 +199,11 @@ class TestBackward:
         d_y = rng.standard_normal(3)
 
         def loss():
-            return float(np.dot(dense_forward(x, layer), d_y))
+            return float(np.dot(layer.forward(x)[0], d_y))
 
-        tape = Tape()
         _, cache = layer.forward(x)
-        layer.backward_into(d_y, cache, tape)
-        report = grad_check(loss, layer.parameters(), tape.grads(layer.parameters()), eps=1e-5)
+        _, d_w, d_b = layer.backward(d_y, cache)
+        report = grad_check(loss, layer.parameters(), [d_w, d_b], eps=1e-5)
         assert report.max_rel_error < 1e-7
 
 
@@ -232,10 +218,8 @@ def _mlp_loss_setup(seed, activations):
         return float(squared_error(y, target).sum())
 
     def analytic():
-        tape = Tape()
-        y, _ = mlp.forward(x, tape)
-        tape.backward(y - target)
-        return tape.grads(mlp.parameters())
+        y, caches = mlp.forward(x)
+        return mlp.backward(y - target, caches)[1]
 
     def margins():
         values = []
@@ -274,16 +258,15 @@ class TestGradCheck:
         x = np.array([0.0, 1.0])  # first unit sits exactly on the kink
 
         def loss():
-            return float(dense_forward(x, layer).sum())
+            return float(layer.forward(x)[0].sum())
 
         def margins():
             _, cache = layer.forward(x)
             return cache[1].ravel()
 
-        tape = Tape()
         _, cache = layer.forward(x)
-        layer.backward_into(np.ones(2), cache, tape)
-        report = grad_check(loss, [layer.b], [tape.grad(layer.b)], eps=1e-5, kink_margins=margins)
+        _, _, d_b = layer.backward(np.ones(2), cache)
+        report = grad_check(loss, [layer.b], [d_b], eps=1e-5, kink_margins=margins)
         assert report.n_skipped >= 1
         assert report.max_rel_error < 1e-6
 
@@ -311,18 +294,13 @@ class TestGradCheck:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        p = np.array([1.0])
-        Sgd(learning_rate=0.1).step([p], [np.array([2.0])])
-        assert p[0] == pytest.approx(0.8)
-
     def test_zero_gradient_leaves_parameters_bitwise(self):
-        for opt in (Sgd(0.1), Adam(0.1)):
-            p = np.array([1.2345, -0.5])
-            before = p.tobytes()
-            for _ in range(3):
-                opt.step([p], [np.zeros(2)])
-            assert p.tobytes() == before
+        opt = Adam(0.1)
+        p = np.array([1.2345, -0.5])
+        before = p.tobytes()
+        for _ in range(3):
+            opt.step([p], [np.zeros(2)])
+        assert p.tobytes() == before
 
     def test_adam_converges_on_quadratic(self):
         # f(w) = (w - 5)^2 from w = 0; 200 adaptive steps at lr 0.1 land
@@ -335,7 +313,7 @@ class TestOptimizers:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Sgd(0.1).step([np.zeros(2)], [np.zeros(3)])
+            Adam(0.1).step([np.zeros(2)], [np.zeros(3)])
 
     def test_adam_moves_against_gradient(self):
         p = np.array([0.0, 0.0])

@@ -199,6 +199,11 @@ class TestModifyPolicy:
         with pytest.raises(ValueError):
             ModifyPolicy(mode="sometimes", n_classes=2)
 
+    def test_unknown_target_rejected_at_construction(self):
+        for mode in ("deterministic", "probabilistic"):
+            with pytest.raises(ValueError):
+                ModifyPolicy(mode=mode, n_classes=3, target="unifrom")
+
 
 class TestApplyTransfer:
     def test_identity_when_same_class(self):
