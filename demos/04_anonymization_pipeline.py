@@ -10,8 +10,8 @@ import numpy as np
 from latent_anon.attack import evaluate_utility_privacy
 from latent_anon.data import SynthConfig, subject_split, synth_generate, window_embeddings
 from latent_anon.models import TrainConfig, train_classifier, train_vae
-from latent_anon.pipeline import ModelRegistry, make_anonymizer, validate_registry
-from latent_anon.transform import ModifyPolicy, compute_mean_table
+from latent_anon.pipeline import ModelRegistry, encode_mean_table, make_anonymizer, validate_registry
+from latent_anon.transform import ModifyPolicy
 
 cfg = SynthConfig(seed=7)  # 4 public x 2 private classes
 series = synth_generate(cfg)
@@ -29,11 +29,7 @@ for u in range(cfg.n_public):
     vaes[u], history = train_vae(subset, config, n_private=cfg.n_private)
     print(f"VAE for public class {u}: loss {history[0]:8.2f} -> {history[-1]:6.2f}")
 
-table = compute_mean_table(
-    [(vaes[e.true_public].encode(e.x).mu, e.true_public, e.true_private)
-     for e in split.train],
-    cfg.n_public, cfg.n_private,
-)
+table = encode_mean_table(vaes, split.train, cfg.n_public, cfg.n_private)
 
 for mode in ("deterministic", "probabilistic"):
     registry = ModelRegistry(

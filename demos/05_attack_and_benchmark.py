@@ -11,8 +11,8 @@ from latent_anon.attack import AttackConfig, run_reid_attack
 from latent_anon.bench import benchmark_pipeline, check_realtime, time_budget_ms
 from latent_anon.data import SynthConfig, subject_split, synth_generate, window_embeddings
 from latent_anon.models import TrainConfig, train_classifier, train_vae
-from latent_anon.pipeline import ModelRegistry, make_anonymizer
-from latent_anon.transform import ModifyPolicy, compute_mean_table
+from latent_anon.pipeline import ModelRegistry, encode_mean_table, make_anonymizer
+from latent_anon.transform import ModifyPolicy
 
 cfg = SynthConfig(seed=7)
 series = synth_generate(cfg)
@@ -25,11 +25,7 @@ private_clf, _ = train_classifier(split.train, "private", config, n_classes=cfg.
 vaes = {u: train_vae([e for e in split.train if e.true_public == u], config,
                      n_private=cfg.n_private)[0]
         for u in range(cfg.n_public)}
-table = compute_mean_table(
-    [(vaes[e.true_public].encode(e.x).mu, e.true_public, e.true_private)
-     for e in split.train],
-    cfg.n_public, cfg.n_private,
-)
+table = encode_mean_table(vaes, split.train, cfg.n_public, cfg.n_private)
 
 
 def registry(mode):

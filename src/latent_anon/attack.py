@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data.types import Embedding
-from .models.training import TrainConfig, train_classifier
+from .models.training import TrainConfig, derive_seed, train_classifier
 
 
 @dataclass
@@ -59,12 +59,8 @@ class AttackReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_seed(base, run):
-    return int(np.random.SeedSequence([int(base), int(run)]).generate_state(1)[0])
-
-
 def _single_run(anonymizer_factory, train_embeddings, test_embeddings, n_private, config, run):
-    seed = _run_seed(config.seed, run)
+    seed = derive_seed(config.seed, run)
     rng = np.random.default_rng(seed)
     n = len(train_embeddings)
     k = int(round(config.sample_fraction * n))
@@ -113,22 +109,15 @@ def run_reid_attack(
             f"sample fraction {config.sample_fraction} of {n} embeddings yields "
             f"{k} < {2 * n_private} attacker training samples"
         )
-    runs = range(config.n_runs)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            accuracies = list(
-                pool.map(
-                    lambda r: _single_run(
-                        anonymizer_factory, train_embeddings, test_embeddings, n_private, config, r
-                    ),
-                    runs,
-                )
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        accuracies = list(
+            pool.map(
+                lambda r: _single_run(
+                    anonymizer_factory, train_embeddings, test_embeddings, n_private, config, r
+                ),
+                range(config.n_runs),
             )
-    else:
-        accuracies = [
-            _single_run(anonymizer_factory, train_embeddings, test_embeddings, n_private, config, r)
-            for r in runs
-        ]
+        )
     mean = float(np.mean(accuracies))
     std = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
     return AttackReport(

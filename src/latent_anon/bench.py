@@ -8,7 +8,7 @@ deliberately stricter than comparing averages.
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -53,9 +53,6 @@ class TimingReport:
     n_embeddings: int
     repetitions: int
 
-    def stage_mean_sum_s(self):
-        return sum(s.mean_s for s in self.stages.values())
-
     def stage_p50_sum_s(self):
         return sum(s.p50_s for s in self.stages.values())
 
@@ -89,17 +86,13 @@ class TimingReport:
             sort_keys=True,
         )
 
-    def to_table(self, model_name="pipeline", batch=1):
+    def to_table(self):
         header = f"{'Model':<24}{'Batch':>6}  {'Type':<6}{'nb. Embeddings':>15}{'Time (s)':>12}{'Time/Embedding (s)':>21}"
         lines = [header, "-" * len(header)]
-        for name, s in self.stages.items():
+        for name, s in [*self.stages.items(), ("total", self.total)]:
             lines.append(
-                f"{model_name + ':' + name:<24}{batch:>6}  {'MLP':<6}{s.count:>15}{s.total_s:>12.4f}{s.mean_s:>21.8f}"
+                f"{'pipeline:' + name:<24}{1:>6}  {'MLP':<6}{s.count:>15}{s.total_s:>12.4f}{s.mean_s:>21.8f}"
             )
-        s = self.total
-        lines.append(
-            f"{model_name + ':total':<24}{batch:>6}  {'MLP':<6}{s.count:>15}{s.total_s:>12.4f}{s.mean_s:>21.8f}"
-        )
         return "\n".join(lines)
 
 
@@ -132,7 +125,6 @@ def benchmark_pipeline(
     warmup=100,
     repetitions=3,
     seed=0,
-    latent_mode="sample",
     pin_core=True,
 ):
     """Time every pipeline stage over `repetitions` passes of the embeddings.
@@ -151,16 +143,13 @@ def benchmark_pipeline(
         totals = []
         for x in xs:
             t0 = perf_counter()
-            anonymize_embedding(
-                x, registry, noise_rng=noise_rng, latent_mode=latent_mode, timings=timings
-            )
+            anonymize_embedding(x, registry, noise_rng=noise_rng, timings=timings)
             totals.append(perf_counter() - t0)
         return timings, totals
 
-    context = _pinned_to_one_core() if pin_core else _null_context()
-    with context:
+    with _pinned_to_one_core() if pin_core else nullcontext():
         for k in range(warmup):
-            anonymize_embedding(xs[k % len(xs)], registry, noise_rng=noise_rng, latent_mode=latent_mode)
+            anonymize_embedding(xs[k % len(xs)], registry, noise_rng=noise_rng)
         stage_samples = {name: [] for name in STAGES}
         total_samples = []
         for _ in range(repetitions):
@@ -175,11 +164,6 @@ def benchmark_pipeline(
         n_embeddings=len(xs),
         repetitions=repetitions,
     )
-
-
-@contextmanager
-def _null_context():
-    yield
 
 
 @dataclass

@@ -29,17 +29,18 @@ from .data.synth import SynthConfig, synth_generate
 from .data.windowing import window_embeddings
 from .models.gridsearch import grid_search
 from .models.persist import load_model, save_model
-from .models.training import TrainConfig, evaluate_accuracy, train_classifier, train_vae
+from .models.training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
 from .nn.serialize import ContainerError
 from .pipeline import (
     ModelRegistry,
     PipelineError,
     anonymize_batch,
     anonymize_stream,
+    encode_mean_table,
     make_anonymizer,
     validate_registry,
 )
-from .transform import ModifyPolicy, TableError, compute_mean_table, load_table, save_table
+from .transform import ModifyPolicy, load_table, save_table
 
 
 def _thread_cap():
@@ -131,9 +132,9 @@ def _load_models_dir(models_dir):
     return vaes, public, private
 
 
-def _build_registry(args, require_table=True):
+def _build_registry(args):
     vaes, public_clf, private_clf = _load_models_dir(args.models)
-    table = load_table(args.table) if require_table else None
+    table = load_table(args.table)
     mode = {"det": "deterministic", "prob": "probabilistic", "reconstruct": "identity"}.get(
         args.mode, args.mode
     )
@@ -145,7 +146,7 @@ def _build_registry(args, require_table=True):
         mean_table=table,
         policy=policy,
     )
-    defects = validate_registry(registry) if table is not None else []
+    defects = validate_registry(registry)
     if defects:
         raise PipelineError("invalid registry:\n" + "\n".join(f"  - {d}" for d in defects))
     return registry
@@ -224,19 +225,15 @@ def cmd_prepare(args, out):
     return 0
 
 
-def _train_config(args, seed=None):
-    return TrainConfig(
+def cmd_train(args, out):
+    train, test, meta = _load_split_archives(args.archive)
+    config = TrainConfig(
         alpha=args.alpha,
         beta=args.beta,
         epochs=args.epochs,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         latent_dim=args.latent_dim,
     )
-
-
-def cmd_train(args, out):
-    train, test, meta = _load_split_archives(args.archive)
-    config = _train_config(args)
     curves = []
 
     public_clf, hist = train_classifier(train, "public", config, n_classes=meta.n_public)
@@ -249,8 +246,9 @@ def cmd_train(args, out):
         subset = [e for e in train if e.true_public == u]
         if not subset:
             raise ArchiveError(f"no training embeddings for public class {u}")
-        seed_u = int(np.random.SeedSequence([args.seed, u]).generate_state(1)[0])
-        vaes[u], hist = train_vae(subset, replace(config, seed=seed_u), n_private=meta.n_private)
+        vaes[u], hist = train_vae(
+            subset, replace(config, seed=derive_seed(args.seed, u)), n_private=meta.n_private
+        )
         curves += [(f"vae_u{u}", k, v) for k, v in enumerate(hist)]
 
     save_model(out.path("public_classifier.lann"), public_clf, training_seed=args.seed)
@@ -285,7 +283,8 @@ def cmd_gridsearch(args, out):
         subset = [e for e in train if e.true_public == u]
         if subset:
             datasets[u] = subset
-    config = _train_config(args)
+    # alpha and beta are set per grid pair
+    config = TrainConfig(epochs=args.epochs, seed=args.seed, latent_dim=args.latent_dim)
     result = grid_search(
         datasets, _parse_floats(args.alphas), _parse_floats(args.betas), config,
         n_private=meta.n_private,
@@ -309,13 +308,8 @@ def cmd_gridsearch(args, out):
 def cmd_means(args, out):
     train, _, meta = _load_split_archives(args.archive)
     vaes, _, _ = _load_models_dir(args.models)
-    latents = []
-    for e in train:  # training split only; the table is the broadcast payload
-        vae = vaes.get(e.true_public)
-        if vae is None:
-            raise PipelineError(f"no VAE for public class {e.true_public}")
-        latents.append((vae.encode(e.x).mu, e.true_public, e.true_private))
-    table = compute_mean_table(latents, meta.n_public, meta.n_private)
+    # training split only; the table is the broadcast payload
+    table = encode_mean_table(vaes, train, meta.n_public, meta.n_private)
     save_table(table, out.path(Path(args.out_file).name if args.out_file else "table.zbar"))
     cells = sorted(table.cells())
     print(f"mean table over {len(train)} train embeddings; cells: {cells}")
@@ -501,8 +495,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--alphas", default="0.5,1,2,3")
     p.add_argument("--betas", default="1,2,3,4")
-    p.add_argument("--alpha", type=float, default=2.0, help=argparse.SUPPRESS)
-    p.add_argument("--beta", type=float, default=1.0, help=argparse.SUPPRESS)
     p.add_argument("--latent-dim", type=int, default=8)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
@@ -567,15 +559,8 @@ def build_parser():
     return parser
 
 
-_ERRORS = (
-    ArchiveError,
-    ContainerError,
-    CsvFormatError,
-    PipelineError,
-    TableError,
-    ValueError,
-    OSError,
-)
+# every package error is a ValueError except PipelineError
+_ERRORS = (PipelineError, ValueError, OSError)
 
 
 def main(argv=None):

@@ -1,7 +1,7 @@
 from .classifier import Classifier
 from .gridsearch import GridEntry, GridSearchResult, grid_search
 from .persist import load_model, save_model
-from .training import TrainConfig, evaluate_accuracy, train_classifier, train_vae
+from .training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
 from .vae import (
     LatentDistribution,
     LossBreakdown,
@@ -22,6 +22,7 @@ __all__ = [
     "TrainConfig",
     "VaeModel",
     "augmented_loss",
+    "derive_seed",
     "evaluate_accuracy",
     "grid_search",
     "kl_gaussian",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .training import train_vae
+from .training import derive_seed, train_vae
 
 
 @dataclass
@@ -35,11 +35,6 @@ class GridSearchResult:
         raise RuntimeError("best pair missing from entries")
 
 
-def _pair_seed(base_seed, alpha_idx, beta_idx, public_class):
-    seq = np.random.SeedSequence([int(base_seed), alpha_idx, beta_idx, int(public_class)])
-    return int(seq.generate_state(1)[0])
-
-
 def grid_search(datasets_by_class, alphas, betas, config, n_private=None):
     """datasets_by_class maps public class -> embeddings of that class."""
     alphas = list(alphas)
@@ -57,7 +52,7 @@ def grid_search(datasets_by_class, alphas, betas, config, n_private=None):
                     config,
                     alpha=alpha,
                     beta=beta,
-                    seed=_pair_seed(config.seed, ai, bi, u),
+                    seed=derive_seed(config.seed, ai, bi, u),
                 )
                 _, history = train_vae(embeddings, cfg, n_private=n_private)
                 if not history:

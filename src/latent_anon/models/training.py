@@ -36,6 +36,28 @@ def _stack(embeddings, attribute):
     return x, np.asarray(labels, dtype=int)
 
 
+def derive_seed(*tags):
+    """Independent child seed for one use of a base seed, e.g. (seed, run)."""
+    return int(np.random.SeedSequence([int(t) for t in tags]).generate_state(1)[0])
+
+
+def _fit(params, loss_and_grads, n, config, rng):
+    """Minibatch Adam over n rows. loss_and_grads(idx) returns the summed loss
+    and the gradients of the rows idx. Returns the mean per-row loss of each
+    epoch; zero epochs leave params untouched."""
+    opt = Adam(learning_rate=config.learning_rate)
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_total = 0.0
+        for start in range(0, n, config.batch_size):
+            loss, grads = loss_and_grads(perm[start : start + config.batch_size])
+            opt.step(params, grads)
+            epoch_total += loss
+        history.append(epoch_total / n)
+    return history
+
+
 def train_vae(embeddings, config, n_private=None):
     """Train one attribute-specific VAE on embeddings of a single public class.
 
@@ -64,25 +86,16 @@ def train_vae(embeddings, config, n_private=None):
         alpha=config.alpha,
         beta=config.beta,
     )
-    history = []
-    if config.epochs == 0:
-        return model, history
-    opt = Adam(learning_rate=config.learning_rate)
-    params = model.parameters()
-    n = x.shape[0]
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            noise = rng.standard_normal((idx.size, config.latent_dim))
-            breakdown, grads = loss_and_gradients(
-                model, x[idx], y[idx], config.alpha, config.beta, noise
-            )
-            opt.step(params, grads)
-            epoch_total += breakdown.total
-        history.append(epoch_total / n)
-    return model, history
+
+    def loss_and_grads(idx):
+        # the noise is drawn after the epoch's permutation, batch by batch
+        noise = rng.standard_normal((idx.size, config.latent_dim))
+        breakdown, grads = loss_and_gradients(
+            model, x[idx], y[idx], config.alpha, config.beta, noise
+        )
+        return breakdown.total, grads
+
+    return model, _fit(model.parameters(), loss_and_grads, x.shape[0], config, rng)
 
 
 def train_classifier(embeddings, attribute, config, n_classes=None):
@@ -96,22 +109,8 @@ def train_classifier(embeddings, attribute, config, n_classes=None):
 
     rng = np.random.default_rng(config.seed)
     model = Classifier(x.shape[1], c, attribute=attribute, hidden=config.hidden, rng=rng)
-    history = []
-    if config.epochs == 0:
-        return model, history
-    opt = Adam(learning_rate=config.learning_rate)
-    params = model.parameters()
-    n = x.shape[0]
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            ce, grads = model.loss_and_gradients(x[idx], y[idx])
-            opt.step(params, grads)
-            epoch_total += ce
-        history.append(epoch_total / n)
-    return model, history
+    loss_and_grads = lambda idx: model.loss_and_gradients(x[idx], y[idx])
+    return model, _fit(model.parameters(), loss_and_grads, x.shape[0], config, rng)
 
 
 def evaluate_accuracy(model, embeddings, attribute):

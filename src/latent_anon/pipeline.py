@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from .models.vae import sample_latent
-from .transform import SecureCoin
+from .transform import SecureCoin, apply_transfer, compute_mean_table
 
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
@@ -77,13 +77,14 @@ def validate_registry(registry):
             if not table.has(u, i):
                 defects.append(f"table is missing cell (u={u}, i={i})")
     policy = registry.policy
-    if policy.mode != "identity":
-        if policy.n_classes != m_count:
-            defects.append(
-                f"policy covers {policy.n_classes} private classes, classifier emits {m_count}"
-            )
-        elif m_count >= 2 and any(m == i for i, m in enumerate(policy.mapping)):
-            defects.append(f"deterministic mapping {policy.mapping} has a fixed point")
+    if policy.n_classes != m_count:
+        defects.append(
+            f"policy covers {policy.n_classes} private classes, classifier emits {m_count}"
+        )
+    elif policy.mode != "identity" and m_count >= 2 and any(
+        m == i for i, m in enumerate(policy.mapping)
+    ):
+        defects.append(f"deterministic mapping {policy.mapping} has a fixed point")
     return defects
 
 
@@ -131,7 +132,6 @@ def anonymize_embedding(
     if latent_mode not in ("sample", "mean"):
         raise ValueError(f"unknown latent mode {latent_mode!r}")
     timed = timings is not None
-    table = registry.mean_table
 
     t0 = perf_counter() if timed else 0.0
     u = int(registry.public_classifier.predict(x))
@@ -163,10 +163,7 @@ def anonymize_embedding(
     if registry.policy.mode == "probabilistic" and coin is None:
         coin = SecureCoin()
     i_prime, applied = registry.policy.modify(i, coin)
-    if i_prime != i:
-        z_hat = z - table.mean(u, i) + table.mean(u, i_prime)
-    else:
-        z_hat = z
+    z_hat = apply_transfer(z, registry.mean_table, u, i, i_prime)
     crc = zlib.crc32(np.ascontiguousarray(z_hat, dtype="<f8").tobytes())
     if timed:
         timings.add("transform", perf_counter() - t0)
@@ -195,8 +192,6 @@ def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_m
     Per-item failures carry the offending index.
     """
     xs = [e.x if hasattr(e, "x") else np.asarray(e, dtype=float) for e in embeddings]
-    if registry.policy.mode == "probabilistic" and coin is None:
-        coin = SecureCoin()
     outputs = []
     records = []
     for k, x in enumerate(xs):
@@ -234,8 +229,6 @@ def anonymize_stream(samples, window, stride, registry, **kwargs):
     pos = 0
     seen = 0
     index = 0
-    if registry.policy.mode == "probabilistic" and "coin" not in kwargs:
-        kwargs = dict(kwargs, coin=SecureCoin())
     for row in samples:
         row = np.asarray(row, dtype=float).reshape(-1)
         if n_channels is None:
@@ -255,7 +248,7 @@ def anonymize_stream(samples, window, stride, registry, **kwargs):
             index += 1
 
 
-def make_anonymizer(registry, seed=None, latent_mode="sample"):
+def make_anonymizer(registry, seed=None):
     """Batch-anonymization closure with its own seeded noise stream.
 
     The probabilistic coin stays cryptographically secure regardless of the
@@ -264,9 +257,20 @@ def make_anonymizer(registry, seed=None, latent_mode="sample"):
     noise_rng = np.random.default_rng(seed)
 
     def anonymize(embeddings):
-        outputs, _ = anonymize_batch(
-            embeddings, registry, noise_rng=noise_rng, latent_mode=latent_mode
-        )
+        outputs, _ = anonymize_batch(embeddings, registry, noise_rng=noise_rng)
         return outputs
 
     return anonymize
+
+
+def encode_mean_table(vaes, embeddings, n_public, n_private):
+    """The class-mean table over labelled embeddings, normally the training
+    split: each embedding is encoded to its posterior mean by the VAE of its
+    true public class."""
+    latents = []
+    for e in embeddings:
+        vae = vaes.get(e.true_public)
+        if vae is None:
+            raise PipelineError(f"no VAE for public class {e.true_public}")
+        latents.append((vae.encode(e.x).mu, e.true_public, e.true_private))
+    return compute_mean_table(latents, n_public, n_private)

@@ -158,11 +158,11 @@ def cyclic_mapping(n_classes):
     return tuple((i + 1) % n_classes for i in range(n_classes))
 
 
-def validate_mapping(mapping, n_classes, require_no_fixed_points=True):
+def validate_mapping(mapping, n_classes):
     mapping = tuple(int(v) for v in mapping)
     if len(mapping) != n_classes or sorted(mapping) != list(range(n_classes)):
         raise ValueError(f"mapping {mapping} is not a bijection on [0, {n_classes})")
-    if require_no_fixed_points and n_classes >= 2 and any(m == i for i, m in enumerate(mapping)):
+    if n_classes >= 2 and any(m == i for i, m in enumerate(mapping)):
         raise ValueError(f"mapping {mapping} has a fixed point")
     return mapping
 
@@ -177,29 +177,17 @@ class SecureCoin:
     def flip(self):
         return secrets.randbits(1) == 1
 
-    def choice(self, n):
-        return secrets.randbelow(n)
-
 
 class SequenceCoin:
     """Test double fed with a fixed sequence of outcomes."""
 
-    def __init__(self, flips=(), choices=()):
+    def __init__(self, flips=()):
         self._flips = list(flips)
-        self._choices = list(choices)
 
     def flip(self):
         if not self._flips:
             raise RuntimeError("SequenceCoin ran out of injected flips")
         return bool(self._flips.pop(0))
-
-    def choice(self, n):
-        if not self._choices:
-            raise RuntimeError("SequenceCoin ran out of injected choices")
-        value = self._choices.pop(0)
-        if not 0 <= value < n:
-            raise RuntimeError(f"injected choice {value} outside [0, {n})")
-        return value
 
 
 class ConstantCoin:
@@ -211,23 +199,18 @@ class ConstantCoin:
     def flip(self):
         return self.value
 
-    def choice(self, n):
-        return 0
-
 
 def modify_deterministic(i, n_classes, mapping=None):
     """Always move to the mapped class; never returns i itself."""
     return ModifyPolicy("deterministic", n_classes, mapping).modify(i)[0]
 
 
-def modify_probabilistic(i, n_classes, coin, mapping=None, target="mapping"):
+def modify_probabilistic(i, n_classes, coin, mapping=None):
     """Apply the mapping with probability 1/2, decided by one coin draw.
 
-    Returns (target class, applied flag). target="uniform" instead picks a
-    uniformly random other class when the coin lands on apply; the default
-    follows the fixed mapping.
+    Returns (target class, applied flag).
     """
-    return ModifyPolicy("probabilistic", n_classes, mapping, target).modify(i, coin)
+    return ModifyPolicy("probabilistic", n_classes, mapping).modify(i, coin)
 
 
 @dataclass
@@ -242,13 +225,10 @@ class ModifyPolicy:
     mode: str = "deterministic"
     n_classes: int = 2
     mapping: tuple | None = None
-    target: str = "mapping"
 
     def __post_init__(self):
         if self.mode not in ("deterministic", "probabilistic", "identity"):
             raise ValueError(f"unknown modify mode {self.mode!r}")
-        if self.target not in ("mapping", "uniform"):
-            raise ValueError("target must be 'mapping' or 'uniform'")
         if self.mode != "identity":
             if self.mapping is None:
                 self.mapping = cyclic_mapping(self.n_classes)
@@ -257,20 +237,16 @@ class ModifyPolicy:
 
     def modify(self, i, coin=None):
         """Returns (target class, applied flag)."""
-        if self.mode == "identity":
-            return i, False
         if not 0 <= i < self.n_classes:
             raise ValueError(f"class {i} outside [0, {self.n_classes})")
+        if self.mode == "identity":
+            return i, False
         if self.mode == "deterministic":
             return self.mapping[i], True
         if coin is None:
             raise ValueError("probabilistic mode needs a randomness source")
         if not coin.flip():
             return i, False
-        if self.target == "uniform" and self.n_classes > 2:
-            offset = coin.choice(self.n_classes - 1)
-            others = [c for c in range(self.n_classes) if c != i]
-            return others[offset], True
         return self.mapping[i], True
 
 

@@ -39,14 +39,13 @@ from latent_anon.models import (
 )
 from latent_anon.models.vae import LatentDistribution
 from latent_anon.nn import Adam, grad_check
-from latent_anon.pipeline import ModelRegistry, anonymize_batch, make_anonymizer
+from latent_anon.pipeline import ModelRegistry, anonymize_batch, encode_mean_table, make_anonymizer
 from latent_anon.transform import (
     ConstantCoin,
     MeanLatentTable,
     ModifyPolicy,
     SecureCoin,
     apply_transfer,
-    compute_mean_table,
     cyclic_mapping,
     load_table,
     modify_deterministic,
@@ -98,11 +97,7 @@ def stack():
     for u in range(SYNTH.n_public):
         subset = [e for e in split.train if e.true_public == u]
         vaes[u], _ = train_vae(subset, TRAIN, n_private=SYNTH.n_private)
-    table = compute_mean_table(
-        [(vaes[e.true_public].encode(e.x).mu, e.true_public, e.true_private) for e in split.train],
-        SYNTH.n_public,
-        SYNTH.n_private,
-    )
+    table = encode_mean_table(vaes, split.train, SYNTH.n_public, SYNTH.n_private)
     return Stack(split, public_clf, private_clf, vaes, table, time.perf_counter() - t0)
 
 

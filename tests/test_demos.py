@@ -1,6 +1,11 @@
-"""Smoke test: the quick demos run to completion against the package sources."""
+"""Smoke tests for the demos and the README: the quick demos run to completion
+against the package sources, and every package import in any demo or README
+code block resolves."""
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +30,30 @@ def test_demo_exits_cleanly(name, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _sources():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in (ROOT / "demos").glob("*.py")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for k, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        sources[f"README.md block {k}"] = block
+    return sources
+
+
+SOURCES = _sources()
+
+
+def _unresolved_imports(source):
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "latent_anon":
+            module = importlib.import_module(node.module)
+            missing += [
+                f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)
+            ]
+    return missing
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_package_imports_resolve(name):
+    assert _unresolved_imports(SOURCES[name]) == []

@@ -6,6 +6,7 @@ import pytest
 from latent_anon.data import Embedding, SynthConfig, synth_generate, window_embeddings
 from latent_anon.models import (
     TrainConfig,
+    derive_seed,
     evaluate_accuracy,
     grid_search,
     load_model,
@@ -33,6 +34,22 @@ def synth_embeddings(n_public=1, n_private=2, subjects=4, seed=0, noise=0.05, tr
 
 def model_bytes(model):
     return b"".join(np.ascontiguousarray(p).tobytes() for p in model.parameters())
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize(
+        "tags, expected",
+        [
+            ((0, 1, 2, 3), 3898271682),  # grid search: (seed, alpha idx, beta idx, class)
+            ((3, 0, 0, 0), 1576890651),
+            ((0, 0), 2968811710),  # attack: (seed, run)
+            ((42, 9), 3918529139),
+            ((5, 1), 3796490668),  # CLI train: (seed, public class)
+            ((0, 3), 2613022947),
+        ],
+    )
+    def test_pinned_values(self, tags, expected):
+        assert derive_seed(*tags) == expected
 
 
 class TestTrainVae:

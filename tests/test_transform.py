@@ -174,12 +174,6 @@ class TestModifyProbabilistic:
         with pytest.raises(RuntimeError):
             modify_probabilistic(0, 2, coin)
 
-    def test_uniform_target_mode(self):
-        coin = SequenceCoin(flips=[True, True], choices=[0, 1])
-        a, _ = modify_probabilistic(0, 3, coin, target="uniform")
-        b, _ = modify_probabilistic(0, 3, coin, target="uniform")
-        assert {a, b} == {1, 2}
-
 
 class TestModifyPolicy:
     def test_identity_mode(self):
@@ -199,10 +193,9 @@ class TestModifyPolicy:
         with pytest.raises(ValueError):
             ModifyPolicy(mode="sometimes", n_classes=2)
 
-    def test_unknown_target_rejected_at_construction(self):
-        for mode in ("deterministic", "probabilistic"):
-            with pytest.raises(ValueError):
-                ModifyPolicy(mode=mode, n_classes=3, target="unifrom")
+    def test_identity_mode_checks_range(self):
+        with pytest.raises(ValueError, match=r"class 7 outside \[0, 2\)"):
+            ModifyPolicy(mode="identity", n_classes=2).modify(7)
 
 
 class TestApplyTransfer:
