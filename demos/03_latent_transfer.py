@@ -33,8 +33,8 @@ table = compute_mean_table(latents, n_public=2, n_private=3)
 for (u, i), (mean, count) in sorted(table.cells().items()):
     print(f"cell (u={u}, i={i}): count {count:3d}, mean {np.round(mean, 2)}")
 
-tv = transfer_vector(table, 0, 0, 1)
-print(f"\ntransfer vector (u=0, 0 -> 1): {np.round(tv.delta, 3)}")
+delta = transfer_vector(table, 0, 0, 1)
+print(f"\ntransfer vector (u=0, 0 -> 1): {np.round(delta, 3)}")
 
 z = np.asarray(latents[0][0])
 moved = apply_transfer(z, table, 0, 0, 1)

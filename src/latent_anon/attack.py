@@ -10,7 +10,7 @@ aggregated as mean and sample standard deviation.
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,7 @@ class AttackReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "mean": self.mean,
-                "std": self.std,
-                "accuracies": self.accuracies,
-                "config": self.config,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv(self):
         lines = ["run,accuracy"]

@@ -9,7 +9,7 @@ deliberately stricter than comparing averages.
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 import numpy as np
@@ -66,25 +66,7 @@ class TimingReport:
         return abs(self.total.p50_s - self.stage_p50_sum_s()) / self.total.p50_s
 
     def to_json(self):
-        def stats(s):
-            return {
-                "count": s.count,
-                "total_s": s.total_s,
-                "mean_s": s.mean_s,
-                "p50_s": s.p50_s,
-                "p99_s": s.p99_s,
-            }
-
-        return json.dumps(
-            {
-                "n_embeddings": self.n_embeddings,
-                "repetitions": self.repetitions,
-                "stages": {name: stats(s) for name, s in self.stages.items()},
-                "total": stats(self.total),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_table(self):
         header = f"{'Model':<24}{'Batch':>6}  {'Type':<6}{'nb. Embeddings':>15}{'Time (s)':>12}{'Time/Embedding (s)':>21}"
@@ -137,30 +119,20 @@ def benchmark_pipeline(
     if not xs:
         raise ValueError("need at least one embedding")
     noise_rng = np.random.default_rng(seed)
-
-    def run():
-        timings = StageTimings()
-        totals = []
-        for x in xs:
-            t0 = perf_counter()
-            anonymize_embedding(x, registry, noise_rng=noise_rng, timings=timings)
-            totals.append(perf_counter() - t0)
-        return timings, totals
-
+    timings = StageTimings()
+    totals = []
     with _pinned_to_one_core() if pin_core else nullcontext():
         for k in range(warmup):
             anonymize_embedding(xs[k % len(xs)], registry, noise_rng=noise_rng)
-        stage_samples = {name: [] for name in STAGES}
-        total_samples = []
         for _ in range(repetitions):
-            timings, totals = run()
-            for name in STAGES:
-                stage_samples[name].extend(timings.samples[name])
-            total_samples.extend(totals)
+            for x in xs:
+                t0 = perf_counter()
+                anonymize_embedding(x, registry, noise_rng=noise_rng, timings=timings)
+                totals.append(perf_counter() - t0)
 
     return TimingReport(
-        stages={name: StageStats.from_samples(stage_samples[name]) for name in STAGES},
-        total=StageStats.from_samples(total_samples),
+        stages={name: StageStats.from_samples(timings.samples[name]) for name in STAGES},
+        total=StageStats.from_samples(totals),
         n_embeddings=len(xs),
         repetitions=repetitions,
     )

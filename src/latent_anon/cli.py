@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,11 @@ def cmd_prepare(args, out):
         cfg = SynthConfig(seed=args.seed)
         if args.synth_config:
             with open(args.synth_config, "r", encoding="utf-8") as f:
-                cfg = SynthConfig(**{**json.load(f), "seed": args.seed})
+                overrides = json.load(f)
+            unknown = sorted(set(overrides) - {f.name for f in fields(SynthConfig)})
+            if unknown:
+                raise ValueError(f"unknown keys in {args.synth_config}: {unknown}")
+            cfg = SynthConfig(**{**overrides, "seed": args.seed})
         series = synth_generate(cfg)
         n_public, n_private = cfg.n_public, cfg.n_private
         test_trials = None

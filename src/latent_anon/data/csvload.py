@@ -14,7 +14,7 @@ import csv
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,9 @@ class CsvSchema:
     def from_json(path):
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
+        unknown = sorted(set(raw) - {f.name for f in fields(CsvSchema)})
+        if unknown:
+            raise CsvFormatError(f"unknown keys in schema {path}: {unknown}")
         return CsvSchema(**raw)
 
     def to_dict(self):

@@ -60,25 +60,30 @@ def load_model(path):
         meta = json.loads(blob.decode("utf-8"))
         tensors = read_tensors(f)
 
-    if meta["kind"] == "vae":
-        model = VaeModel(
-            input_dim=meta["input_dim"],
-            latent_dim=meta["latent_dim"],
-            n_private=meta["n_private"],
-            public_class=meta["public_class"],
-            hidden=tuple(meta["hidden"]),
-            alpha=meta["alpha"],
-            beta=meta["beta"],
-        )
-    elif meta["kind"] == "classifier":
-        model = Classifier(
-            input_dim=meta["input_dim"],
-            n_classes=meta["n_classes"],
-            attribute=meta["attribute"],
-            hidden=tuple(meta["hidden"]),
-        )
-    else:
-        raise ContainerError(f"unknown model kind {meta['kind']!r}")
+    if not isinstance(meta, dict):
+        raise ContainerError("model metadata is not a JSON object")
+    try:
+        if meta["kind"] == "vae":
+            model = VaeModel(
+                input_dim=meta["input_dim"],
+                latent_dim=meta["latent_dim"],
+                n_private=meta["n_private"],
+                public_class=meta["public_class"],
+                hidden=tuple(meta["hidden"]),
+                alpha=meta["alpha"],
+                beta=meta["beta"],
+            )
+        elif meta["kind"] == "classifier":
+            model = Classifier(
+                input_dim=meta["input_dim"],
+                n_classes=meta["n_classes"],
+                attribute=meta["attribute"],
+                hidden=tuple(meta["hidden"]),
+            )
+        else:
+            raise ContainerError(f"unknown model kind {meta['kind']!r}")
+    except KeyError as exc:
+        raise ContainerError(f"model metadata lacks key {exc.args[0]!r}") from None
 
     slots = model.named_tensors()
     if set(slots) != set(tensors):

@@ -72,19 +72,13 @@ def validate_registry(registry):
         defects.append(
             f"table latent dim {table.latent_dim} does not match the VAEs {sorted(latents)}"
         )
-    for u in range(min(u_count, table.n_public)):
-        for i in range(min(m_count, table.n_private)):
-            if not table.has(u, i):
-                defects.append(f"table is missing cell (u={u}, i={i})")
+    for u, i in np.argwhere(table.counts[:u_count, :m_count] == 0):
+        defects.append(f"table is missing cell (u={u}, i={i})")
     policy = registry.policy
     if policy.n_classes != m_count:
         defects.append(
             f"policy covers {policy.n_classes} private classes, classifier emits {m_count}"
         )
-    elif policy.mode != "identity" and m_count >= 2 and any(
-        m == i for i, m in enumerate(policy.mapping)
-    ):
-        defects.append(f"deterministic mapping {policy.mapping} has a fixed point")
     return defects
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from latent_anon.attack import (
     AttackConfig,
+    AttackReport,
     evaluate_utility_privacy,
     run_reid_attack,
 )
@@ -102,6 +103,25 @@ class TestRunReidAttack:
         payload = json.loads(report.to_json())
         assert payload["mode"] == "deterministic"
         assert payload["config"]["n_runs"] == 2
+
+    def test_report_json_pinned(self):
+        report = AttackReport(
+            accuracies=[0.5, 0.625], mean=0.5625, std=0.0625, mode="probabilistic",
+            config={"runs": 2, "fraction": 0.2},
+        )
+        assert report.to_json() == """{
+  "accuracies": [
+    0.5,
+    0.625
+  ],
+  "config": {
+    "fraction": 0.2,
+    "runs": 2
+  },
+  "mean": 0.5625,
+  "mode": "probabilistic",
+  "std": 0.0625
+}"""
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

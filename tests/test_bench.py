@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latent_anon.bench import (
     StageStats,
+    TimingReport,
     benchmark_pipeline,
     check_realtime,
     time_budget_ms,
@@ -130,6 +131,44 @@ class TestBenchmarkPipeline:
         assert set(payload["stages"]) == set(STAGES)
         table = report.to_table()
         assert "Time/Embedding (s)" in table and "nb. Embeddings" in table
+
+    def test_report_json_pinned(self):
+        report = TimingReport(
+            stages={
+                "encode": StageStats(2, 0.5, 0.25, 0.25, 0.375),
+                "decode": StageStats(2, 0.125, 0.0625, 0.0625, 0.1),
+            },
+            total=StageStats(2, 1.0, 0.5, 0.5, 0.75),
+            n_embeddings=2,
+            repetitions=1,
+        )
+        assert report.to_json() == """{
+  "n_embeddings": 2,
+  "repetitions": 1,
+  "stages": {
+    "decode": {
+      "count": 2,
+      "mean_s": 0.0625,
+      "p50_s": 0.0625,
+      "p99_s": 0.1,
+      "total_s": 0.125
+    },
+    "encode": {
+      "count": 2,
+      "mean_s": 0.25,
+      "p50_s": 0.25,
+      "p99_s": 0.375,
+      "total_s": 0.5
+    }
+  },
+  "total": {
+    "count": 2,
+    "mean_s": 0.5,
+    "p50_s": 0.5,
+    "p99_s": 0.75,
+    "total_s": 1.0
+  }
+}"""
 
 
 class TestCheckRealtime:

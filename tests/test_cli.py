@@ -267,6 +267,35 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_synth_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"n_subjectz": 3}))
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", "synth", "--synth-config", str(cfg), "--out", str(out),
+            "--window", "8", "--stride", "4",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "n_subjectz" in err
+        assert list(out.iterdir()) == []
+
+    def test_unknown_schema_key(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({
+            "channels": ["a"], "sampling_rate_hz": 10.0,
+            "path_pattern": r"sub_(?P<subject>\d+)\.csv$", "channelz": ["b"],
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", str(schema), "--data", str(tmp_path), "--out", str(out),
+            "--window", "2", "--stride", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "channelz" in err
+        assert list(out.iterdir()) == []
+
     def test_gridsearch_smoke(self, workspace, tmp_path):
         out = tmp_path / "grid"
         assert main([

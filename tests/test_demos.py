@@ -1,6 +1,7 @@
-"""Smoke tests for the demos and the README: the quick demos run to completion
-against the package sources, and every package import in any demo or README
-code block resolves."""
+"""Smoke tests for the demos, the README and the export lists: the quick demos
+run to completion against the package sources, every package import in any
+demo or README code block resolves, and so does every name in a package's
+`__all__`."""
 
 import ast
 import importlib
@@ -57,3 +58,11 @@ def _unresolved_imports(source):
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_package_imports_resolve(name):
     assert _unresolved_imports(SOURCES[name]) == []
+
+
+@pytest.mark.parametrize(
+    "package", ["latent_anon", "latent_anon.data", "latent_anon.models", "latent_anon.nn"]
+)
+def test_package_exports_resolve(package):
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

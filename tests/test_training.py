@@ -1,10 +1,14 @@
 """Training loops, the hyperparameter grid search, and model persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from latent_anon.data import Embedding, SynthConfig, synth_generate, window_embeddings
 from latent_anon.models import (
+    Classifier,
     TrainConfig,
     derive_seed,
     evaluate_accuracy,
@@ -15,6 +19,7 @@ from latent_anon.models import (
     train_classifier,
     train_vae,
 )
+from latent_anon.nn import ContainerError
 
 
 def synth_embeddings(n_public=1, n_private=2, subjects=4, seed=0, noise=0.05, trials=1, channels=2):
@@ -212,3 +217,23 @@ class TestPersistence:
         loaded, _ = load_model(p1)
         save_model(p2, loaded, training_seed=5)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "'kind'"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "n_classes"}, "'n_classes'"),
+            (lambda meta: [meta], "not a JSON object"),
+        ],
+        ids=["no-kind", "no-constructor-key", "not-an-object"],
+    )
+    def test_bad_header_raises_container_error(self, tmp_path, edit, message):
+        path = tmp_path / "clf.lann"
+        save_model(path, Classifier(4, 2, "public", rng=np.random.default_rng(0)))
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", raw)
+        meta = json.loads(raw[8 : 8 + meta_len])
+        blob = json.dumps(edit(meta)).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + meta_len :])
+        with pytest.raises(ContainerError, match=message):
+            load_model(path)

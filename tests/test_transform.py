@@ -1,8 +1,12 @@
 """Mean latent tables, transfer vectors, the Modify function and the table
 file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_anon.transform import (
     ConstantCoin,
@@ -18,7 +22,6 @@ from latent_anon.transform import (
     modify_probabilistic,
     save_table,
     transfer_vector,
-    validate_mapping,
 )
 
 
@@ -79,11 +82,11 @@ class TestComputeMeanTable:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_mean_table([])
+            compute_mean_table([], 1, 1)
 
     def test_inconsistent_dims_rejected(self):
         with pytest.raises(ValueError):
-            compute_mean_table([(np.zeros(3), 0, 0), (np.zeros(4), 0, 0)])
+            compute_mean_table([(np.zeros(3), 0, 0), (np.zeros(4), 0, 0)], 1, 1)
 
     def test_absent_cell_is_an_error_not_zero(self):
         table = compute_mean_table([(np.ones(2), 0, 0)], 2, 2)
@@ -97,14 +100,13 @@ class TestComputeMeanTable:
 class TestTransferVector:
     def test_same_class_is_zero(self):
         table = random_table(np.random.default_rng(2))
-        tv = transfer_vector(table, 0, 1, 1)
-        assert np.allclose(tv.delta, 0.0)
+        assert np.allclose(transfer_vector(table, 0, 1, 1), 0.0)
 
     def test_antisymmetry(self):
         table = random_table(np.random.default_rng(3))
         forward = transfer_vector(table, 1, 0, 2)
         backward = transfer_vector(table, 1, 2, 0)
-        assert np.allclose(forward.delta, -backward.delta, atol=1e-15)
+        assert np.allclose(forward, -backward, atol=1e-15)
 
     def test_matches_elementwise_subtraction(self):
         rng = np.random.default_rng(4)
@@ -115,7 +117,7 @@ class TestTransferVector:
         table = compute_mean_table(latents, 1, 2)
         tv = transfer_vector(table, 0, 0, 1)
         expected = [table.mean(0, 1)[j] - table.mean(0, 0)[j] for j in range(3)]
-        assert np.allclose(tv.delta, expected, atol=1e-15)
+        assert np.allclose(tv, expected, atol=1e-15)
 
     def test_absent_cell(self):
         table = compute_mean_table([(np.zeros(2), 0, 0)], 1, 2)
@@ -139,17 +141,6 @@ class TestModifyDeterministic:
         for m in range(2, 6):
             for i in range(m):
                 assert modify_deterministic(i, m) != i
-
-    def test_non_bijective_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            modify_deterministic(0, 3, mapping=(1, 1, 0))
-
-    def test_fixed_point_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            validate_mapping((0, 2, 1), 3)
-
-    def test_custom_mapping(self):
-        assert modify_deterministic(2, 3, mapping=(2, 0, 1)) == 1
 
 
 class TestModifyProbabilistic:
@@ -293,3 +284,56 @@ class TestTableFile:
         path.write_bytes(b"WRONG" + b"\x00" * 30)
         with pytest.raises(TableError):
             load_table(path)
+
+
+# SHA-256 of the ZBAR1 bytes for two fixed tables, as written by the
+# cell-by-cell struct encoder this format started with
+FULL_TABLE_SHA256 = "78eaf6bca95f88e2f07d378b47f9b2f2a61f81ebc2041b826f930ba25a7f2151"
+PARTIAL_TABLE_SHA256 = "7b2a4fc2fc66d4910ba73bb80bca05b67f460fdf92de239f9704f4b999d6d8fa"
+
+
+class TestTableFileBytes:
+    def test_full_table_golden_hash(self, tmp_path):
+        path = tmp_path / "full.zbar"
+        save_table(random_table(np.random.default_rng(11), latent_dim=4), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_TABLE_SHA256
+
+    def test_partial_table_golden_hash(self, tmp_path):
+        latents = [
+            (np.array([1.0, -2.0, 0.5]), 0, 1),
+            (np.array([3.0, 0.25, -1.0]), 0, 1),
+            (np.array([-0.5, 4.0, 2.0]), 1, 0),
+        ]
+        path = tmp_path / "partial.zbar"
+        save_table(compute_mean_table(latents, 2, 2), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PARTIAL_TABLE_SHA256
+
+    @given(
+        n_public=st.integers(1, 6),
+        n_private=st.integers(1, 4),
+        latent_dim=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_with_absent_cells(self, tmp_path_factory, n_public, n_private, latent_dim, seed):
+        rng = np.random.default_rng(seed)
+        cells = {
+            (u, i): (rng.standard_normal(latent_dim), int(rng.integers(1, 2**40)))
+            for u in range(n_public)
+            for i in range(n_private)
+            if rng.random() < 0.6
+        }
+        table = MeanLatentTable(n_public, n_private, latent_dim, cells)
+        path = tmp_path_factory.mktemp("zbar") / "table.zbar"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded == table
+        got = loaded.cells()
+        assert set(got) == set(cells)
+        for key, (mean, count) in cells.items():
+            assert np.array_equal(got[key][0], mean) and got[key][1] == count
+            assert type(got[key][1]) is int and all(type(k) is int for k in key)
+        for u, i in [(-1, 0), (n_public, 0), (0, -1), (0, n_private)]:
+            assert not loaded.has(u, i)
+            with pytest.raises(TableError, match=rf"\(u={u}, i={i}\)"):
+                loaded.mean(u, i)
