@@ -6,7 +6,7 @@ compares every analytic gradient coordinate against central differences.
 
 import numpy as np
 
-from latent_anon.models import VaeModel, augmented_loss, loss_and_gradients
+from latent_anon.models import VaeModel, loss_and_gradients
 from latent_anon.nn import MLP, grad_check, squared_error
 
 rng = np.random.default_rng(0)
@@ -41,7 +41,7 @@ print(f"\naugmented loss on a random batch: total {breakdown.total:.4f} "
       f"classification {breakdown.classification:.4f})")
 
 result = grad_check(
-    lambda: augmented_loss(model, xb, yb, alpha, beta, noise).total,
+    lambda: loss_and_gradients(model, xb, yb, alpha, beta, noise)[0].total,
     model.parameters(),
     grads,
     eps=1e-5,

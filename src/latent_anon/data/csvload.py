@@ -14,7 +14,7 @@ import csv
 import json
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,25 +45,19 @@ class CsvSchema:
     def from_json(path):
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise CsvFormatError(f"schema {path} is not a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(CsvSchema)})
         if unknown:
             raise CsvFormatError(f"unknown keys in schema {path}: {unknown}")
+        missing = sorted(
+            f.name
+            for f in fields(CsvSchema)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+        )
+        if missing:
+            raise CsvFormatError(f"schema {path} lacks required keys: {missing}")
         return CsvSchema(**raw)
-
-    def to_dict(self):
-        return {
-            "channels": list(self.channels),
-            "sampling_rate_hz": self.sampling_rate_hz,
-            "path_pattern": self.path_pattern,
-            "public_classes": self.public_classes,
-            "private_classes": self.private_classes,
-            "private_from": self.private_from,
-            "subjects_table": self.subjects_table,
-            "subjects_key": self.subjects_key,
-            "private_column": self.private_column,
-            "bin_weights": self.bin_weights,
-            "test_trials": list(self.test_trials),
-        }
 
 
 def motionsense_schema():

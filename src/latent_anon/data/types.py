@@ -55,8 +55,6 @@ class Embedding:
 class LabelSpace:
     n_public: int
     n_private: int
-    public_names: list | None = None
-    private_names: list | None = None
 
     def __post_init__(self):
         if self.n_public < 1:

@@ -6,7 +6,6 @@ from .vae import (
     LatentDistribution,
     LossBreakdown,
     VaeModel,
-    augmented_loss,
     kl_gaussian,
     loss_and_gradients,
     reconstruction_loss,
@@ -21,7 +20,6 @@ __all__ = [
     "LossBreakdown",
     "TrainConfig",
     "VaeModel",
-    "augmented_loss",
     "derive_seed",
     "evaluate_accuracy",
     "grid_search",

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..nn.layers import MLP
+from ..nn.layers import MLP, as_batch
 from ..nn.losses import cross_entropy_from_labels
 
 
@@ -40,8 +40,10 @@ class Classifier:
         return out
 
     def predict_proba(self, x):
-        probs, _ = self.mlp.forward(x)
-        return probs
+        """Class probabilities of one vector (n,) or of each row of a batch."""
+        xb, single = as_batch(x)
+        probs, _ = self.mlp.forward(xb)
+        return probs[0] if single else probs
 
     def predict(self, x):
         """Argmax class; ties resolve to the lower index."""
@@ -50,12 +52,11 @@ class Classifier:
 
     def loss_and_gradients(self, x, labels):
         """Summed cross entropy over the batch plus gradients aligned with parameters()."""
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(labels, dtype=int)
-        probs, caches = self.mlp.forward(xb)
+        probs, caches = self.mlp.forward(x)
         ce = cross_entropy_from_labels(probs, y)
         g = probs.copy()
-        g[np.arange(xb.shape[0]), y] -= 1.0
+        g[np.arange(y.size), y] -= 1.0
         d, d_w, d_b = self.mlp.layers[-1].backward_preactivation(g, caches[-1])
         grads = [d_w, d_b]
         for layer, cache in zip(reversed(self.mlp.layers[:-1]), reversed(caches[:-1])):

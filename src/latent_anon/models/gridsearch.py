@@ -35,7 +35,7 @@ class GridSearchResult:
         raise RuntimeError("best pair missing from entries")
 
 
-def grid_search(datasets_by_class, alphas, betas, config, n_private=None):
+def grid_search(datasets_by_class, alphas, betas, config, n_private):
     """datasets_by_class maps public class -> embeddings of that class."""
     alphas = list(alphas)
     betas = list(betas)

@@ -84,6 +84,8 @@ def load_model(path):
             raise ContainerError(f"unknown model kind {meta['kind']!r}")
     except KeyError as exc:
         raise ContainerError(f"model metadata lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ContainerError(f"model metadata {meta} has a wrongly typed value: {exc}") from None
 
     slots = model.named_tensors()
     if set(slots) != set(tensors):

@@ -58,7 +58,7 @@ def _fit(params, loss_and_grads, n, config, rng):
     return history
 
 
-def train_vae(embeddings, config, n_private=None):
+def train_vae(embeddings, config, n_private):
     """Train one attribute-specific VAE on embeddings of a single public class.
 
     Returns (model, history) where history holds the mean per-item loss of
@@ -71,7 +71,7 @@ def train_vae(embeddings, config, n_private=None):
         raise ValueError(f"mixed public classes in one VAE dataset: {sorted(publics)}")
     public_class = publics.pop()
     x, y = _stack(embeddings, "private")
-    m = int(n_private) if n_private is not None else int(y.max()) + 1
+    m = int(n_private)
     if y.max() >= m:
         raise ValueError(f"private label {y.max()} out of range [0, {m})")
 
@@ -98,12 +98,12 @@ def train_vae(embeddings, config, n_private=None):
     return model, _fit(model.parameters(), loss_and_grads, x.shape[0], config, rng)
 
 
-def train_classifier(embeddings, attribute, config, n_classes=None):
+def train_classifier(embeddings, attribute, config, n_classes):
     """Train an attribute classifier. Returns (model, history of mean epoch loss)."""
     if not embeddings:
         raise ValueError("empty dataset")
     x, y = _stack(embeddings, attribute)
-    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    c = int(n_classes)
     if y.max() >= c:
         raise ValueError(f"{attribute} label {y.max()} out of range [0, {c})")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import MLP, Dense
+from ..nn.layers import MLP, Dense, as_batch
 from ..nn.losses import cross_entropy_from_labels, squared_error
 
 
@@ -131,128 +131,88 @@ class VaeModel:
         return out
 
     def encode(self, x):
-        """Deterministic map to the posterior parameters (mu, logvar)."""
-        h, _ = self.encoder.forward(x)
+        """Deterministic map to the posterior parameters (mu, logvar) of one
+        vector (n,) or of each row of a batch."""
+        xb, single = as_batch(x)
+        h, _ = self.encoder.forward(xb)
         mu, _ = self.mu_head.forward(h)
         logvar, _ = self.logvar_head.forward(h)
+        if single:
+            mu, logvar = mu[0], logvar[0]
         return LatentDistribution(mu=mu, logvar=logvar)
 
     def decode(self, z):
-        x_hat, _ = self.decoder.forward(z)
-        return x_hat
+        zb, single = as_batch(z)
+        x_hat, _ = self.decoder.forward(zb)
+        return x_hat[0] if single else x_hat
 
     def classify_latent(self, z):
         """Softmax distribution of the private-attribute head at z."""
-        probs, _ = self.class_head.forward(z)
-        return probs
+        zb, single = as_batch(z)
+        probs, _ = self.class_head.forward(zb)
+        return probs[0] if single else probs
 
     def reconstruct(self, x):
         """Deterministic round trip through the posterior mean."""
         return self.decode(self.encode(x).mu)
 
 
-def _forward_pass(model, x, labels, noise):
+def loss_and_gradients(model, x, labels, alpha, beta, noise):
+    """Batch loss summed over items, recon + beta * KL + alpha * head cross
+    entropy, as a LossBreakdown plus gradients aligned with model.parameters().
+
+    noise is the standard-normal draw for the reparameterized latent sample,
+    one row per item; tests inject it, trainers draw it fresh. The reverse
+    sweep is hand-orchestrated: the latent gradient collects the decoder
+    branch and the alpha-weighted classification branch, then flows into mu
+    and logvar together with the beta-weighted KL terms.
+    """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[0] < 1:
-        raise ValueError("empty batch")
-    y = np.atleast_1d(np.asarray(labels, dtype=int))
-    if y.shape != (xb.shape[0],):
-        raise ValueError(f"expected {xb.shape[0]} labels, got shape {y.shape}")
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"expected a nonempty (B, n) batch, got shape {x.shape}")
+    y = np.asarray(labels, dtype=int)
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"expected {x.shape[0]} labels, got shape {y.shape}")
     if y.min() < 0 or y.max() >= model.n_private:
         raise ValueError(f"private label out of range [0, {model.n_private})")
-    eb = np.asarray(noise, dtype=float)
-    if single and eb.ndim == 1:
-        eb = eb[None, :]
-    if eb.shape != (xb.shape[0], model.latent_dim):
-        raise ValueError(f"noise shape {np.shape(noise)} does not match (batch, latent_dim)")
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (x.shape[0], model.latent_dim):
+        raise ValueError(f"noise shape {noise.shape} does not match (batch, latent_dim)")
 
-    h, enc_caches = model.encoder.forward(xb)
+    h, enc_caches = model.encoder.forward(x)
     mu, mu_cache = model.mu_head.forward(h)
     logvar, lv_cache = model.logvar_head.forward(h)
     sigma = np.exp(0.5 * logvar)
-    z = mu + sigma * eb
+    z = mu + sigma * noise
     x_hat, dec_caches = model.decoder.forward(z)
     probs, cls_cache = model.class_head.forward(z)
 
-    recon = squared_error(xb, x_hat)
-    kl = kl_gaussian(LatentDistribution(mu, logvar))
-    ce = cross_entropy_from_labels(probs, y)
-    state = {
-        "xb": xb,
-        "y": y,
-        "eb": eb,
-        "enc_caches": enc_caches,
-        "mu_cache": mu_cache,
-        "lv_cache": lv_cache,
-        "dec_caches": dec_caches,
-        "cls_cache": cls_cache,
-        "mu": mu,
-        "logvar": logvar,
-        "sigma": sigma,
-        "z": z,
-        "x_hat": x_hat,
-        "probs": probs,
-        "recon": recon,
-        "kl": kl,
-        "ce": ce,
-    }
-    return state
-
-
-def _breakdown(state, alpha, beta):
-    r = float(state["recon"].sum())
-    k = float(state["kl"].sum())
-    c = float(state["ce"].sum())
-    return LossBreakdown(
-        reconstruction=r,
-        kl=k,
-        classification=c,
-        total=float(r + beta * k + alpha * c),
+    recon = float(squared_error(x, x_hat).sum())
+    kl = float(kl_gaussian(LatentDistribution(mu, logvar)).sum())
+    ce = float(cross_entropy_from_labels(probs, y).sum())
+    breakdown = LossBreakdown(
+        reconstruction=recon,
+        kl=kl,
+        classification=ce,
+        total=float(recon + beta * kl + alpha * ce),
         alpha=alpha,
         beta=beta,
     )
 
-
-def augmented_loss(model, x, labels, alpha, beta, noise):
-    """Batch loss summed over items: recon + beta * KL + alpha * head cross entropy.
-
-    noise is the standard-normal draw for the reparameterized latent sample,
-    one row per item; tests inject it, trainers draw it fresh.
-    """
-    state = _forward_pass(model, x, labels, noise)
-    return _breakdown(state, alpha, beta)
-
-
-def loss_and_gradients(model, x, labels, alpha, beta, noise):
-    """Loss breakdown plus gradients aligned with model.parameters().
-
-    The reverse sweep is hand-orchestrated: the latent gradient collects the
-    decoder branch and the alpha-weighted classification branch, then flows
-    into mu and logvar together with the beta-weighted KL terms.
-    """
-    state = _forward_pass(model, x, labels, noise)
-    xb, y, eb = state["xb"], state["y"], state["eb"]
-    mu, logvar, sigma, z = state["mu"], state["logvar"], state["sigma"], state["z"]
-    b = xb.shape[0]
-
-    d_xhat = state["x_hat"] - xb
-    d_z, dec_grads = model.decoder.backward(d_xhat, state["dec_caches"])
-
+    d_z, dec_grads = model.decoder.backward(x_hat - x, dec_caches)
     # fused softmax + cross entropy; exact while probs stay above the log floor
-    g = state["probs"].copy()
-    g[np.arange(b), y] -= 1.0
+    g = probs.copy()
+    g[np.arange(y.size), y] -= 1.0
     g *= alpha
-    d_z_cls, d_w_cls, d_b_cls = model.class_head.backward_preactivation(g, state["cls_cache"])
+    d_z_cls, d_w_cls, d_b_cls = model.class_head.backward_preactivation(g, cls_cache)
     d_z = d_z + d_z_cls
 
     d_mu = d_z + beta * mu
-    d_logvar = d_z * eb * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0)
-    d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, state["mu_cache"])
-    d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, state["lv_cache"])
+    d_logvar = d_z * noise * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0)
+    d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, mu_cache)
+    d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, lv_cache)
     d_h = d_h + d_h_lv
-    _, enc_grads = model.encoder.backward(d_h, state["enc_caches"])
+    _, enc_grads = model.encoder.backward(d_h, enc_caches)
     # same order as VaeModel.parameters()
     grads = enc_grads + [d_w_mu, d_b_mu, d_w_lv, d_b_lv] + dec_grads + [d_w_cls, d_b_cls]
-    return _breakdown(state, alpha, beta), grads
+    return breakdown, grads

@@ -1,8 +1,10 @@
 """Dense layers and MLP stacks with hand-written forward/backward passes.
 
-Everything is double precision. Layers hold no per-call state: forward returns
-a cache that backward consumes, so inference on frozen parameters is safe from
-multiple threads.
+Everything is double precision. Layers take batches only, one row per item;
+the models lift a single vector to a one-row batch once, at their boundary,
+with as_batch. Layers hold no per-call state: forward returns a cache that
+backward consumes, so inference on frozen parameters is safe from multiple
+threads.
 """
 
 import numpy as np
@@ -38,14 +40,16 @@ def _activation_backward(name, z, y, d_y):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _as_batch(d, z, single):
-    """Upstream gradient as a (B, n_out) batch, checked against the output z."""
-    d2 = np.asarray(d, dtype=float)
-    if single:
-        d2 = d2[None, :]
-    if d2.shape != z.shape:
+def as_batch(x):
+    """x as a float (B, n) batch, and whether it came as one (n,) vector."""
+    x = np.asarray(x, dtype=float)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
+
+
+def _check_grad(d, z):
+    """The upstream gradient must match the layer output z, one row per item."""
+    if np.shape(d) != z.shape:
         raise ValueError(f"gradient shape {np.shape(d)} does not match output {z.shape}")
-    return d2
 
 
 class Dense:
@@ -53,7 +57,7 @@ class Dense:
 
     W has shape (n_out, n_in) and is initialized uniformly in
     [-sqrt(6/(n_in+n_out)), +sqrt(6/(n_in+n_out))]; biases start at zero.
-    Accepts a single vector (n_in,) or a batch (B, n_in).
+    forward takes a (B, n_in) batch.
     """
 
     def __init__(self, n_in, n_out, activation="identity", rng=None):
@@ -72,21 +76,18 @@ class Dense:
 
     def forward(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        if x2.ndim != 2 or x2.shape[1] != self.n_in:
-            raise ValueError(f"expected input with {self.n_in} features, got shape {x.shape}")
-        z = x2 @ self.W.T + self.b
+        if x.ndim != 2 or x.shape[1] != self.n_in:
+            raise ValueError(f"expected a (B, {self.n_in}) batch, got shape {x.shape}")
+        z = x @ self.W.T + self.b
         y = _activate(self.activation, z)
-        cache = (x2, z, y, single)
-        return (y[0] if single else y), cache
+        return y, (x, z, y)
 
     def backward(self, d_out, cache):
         """Returns (d_x, d_W, d_b) for the upstream gradient d_out."""
-        _, z, y, single = cache
-        d2 = _as_batch(d_out, z, single)
-        dz = _activation_backward(self.activation, z, y, d2)
-        return self.backward_preactivation(dz[0] if single else dz, cache)
+        _, z, y = cache
+        _check_grad(d_out, z)
+        d_z = _activation_backward(self.activation, z, y, d_out)
+        return self.backward_preactivation(d_z, cache)
 
     def backward_preactivation(self, d_z, cache):
         """Returns (d_x, d_W, d_b) for a gradient w.r.t. the pre-activation z.
@@ -94,10 +95,9 @@ class Dense:
         Used when the activation derivative is fused into the loss gradient
         (softmax + cross entropy).
         """
-        x2, z, _, single = cache
-        dz = _as_batch(d_z, z, single)
-        d_x = dz @ self.W
-        return (d_x[0] if single else d_x), dz.T @ x2, dz.sum(axis=0)
+        x, z, _ = cache
+        _check_grad(d_z, z)
+        return d_z @ self.W, d_z.T @ x, d_z.sum(axis=0)
 
     def parameters(self):
         return [self.W, self.b]

@@ -21,34 +21,6 @@ def softmax(logits, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def one_hot(labels, n_classes):
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D integer array")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"label out of range [0, {n_classes})")
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def cross_entropy(probs, target):
-    """Cross entropy -sum(y * log p) for a single distribution and one-hot target.
-
-    Probabilities are floored at LOG_FLOOR before the log so a zero entry
-    cannot produce an infinite loss.
-    """
-    probs = np.asarray(probs, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if probs.ndim != 1 or probs.shape != target.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs target {target.shape}")
-    ones = np.isclose(target, 1.0)
-    zeros = target == 0.0
-    if ones.sum() != 1 or not np.all(ones | zeros):
-        raise ValueError("target must be one-hot")
-    return float(-(target * np.log(np.maximum(probs, LOG_FLOOR))).sum())
-
-
 def cross_entropy_from_labels(probs, labels):
     """Per-row -log p[label] for a (B, M) probability matrix. Returns shape (B,)."""
     probs = np.asarray(probs, dtype=float)

@@ -11,11 +11,12 @@ class Adam:
     with all-zero gradients leaves parameters bit-identical.
     """
 
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = None
         self._v = None
@@ -34,7 +35,7 @@ class Adam:
             raise ValueError("parameter list changed size between steps")
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for k, (p, g) in enumerate(zip(params, grads)):
             m = self._m[k]
             v = self._v[k]
@@ -44,4 +45,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)

@@ -64,12 +64,3 @@ def read_tensors(f):
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     return tensors
 
-
-def save_tensors(path, tensors):
-    with open(path, "wb") as f:
-        write_tensors(f, tensors)
-
-
-def load_tensors(path):
-    with open(path, "rb") as f:
-        return read_tensors(f)

@@ -15,7 +15,7 @@ what was predicted and applied.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -90,7 +90,6 @@ class AnonymizationRecord:
     target_private: int
     applied: bool
     zhat_crc32: int
-    x_hat: np.ndarray = field(repr=False, default=None)
 
 
 class StageTimings:
@@ -108,7 +107,6 @@ def anonymize_embedding(
     registry,
     *,
     index=0,
-    noise=None,
     noise_rng=None,
     coin=None,
     latent_mode="sample",
@@ -116,11 +114,10 @@ def anonymize_embedding(
 ):
     """Run the six anonymization steps on one flattened embedding.
 
-    noise injects the standard-normal draw for the latent sample (tests);
-    otherwise noise_rng provides it. latent_mode "mean" skips sampling and
-    uses the posterior mean, a deterministic variant kept for tests and
-    debugging. The coin drives probabilistic Modify and defaults to the
-    secure source.
+    noise_rng provides the standard-normal draw for the latent sample.
+    latent_mode "mean" skips sampling and uses the posterior mean, a
+    deterministic variant kept for tests and debugging. The coin drives
+    probabilistic Modify and defaults to the secure source.
     """
     x = np.asarray(x, dtype=float)
     if latent_mode not in ("sample", "mean"):
@@ -146,10 +143,8 @@ def anonymize_embedding(
     if latent_mode == "mean":
         z = dist.mu
     else:
-        if noise is None:
-            rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-            noise = rng.standard_normal(vae.latent_dim)
-        z = sample_latent(dist, noise)
+        rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
+        z = sample_latent(dist, rng.standard_normal(vae.latent_dim))
     if timed:
         timings.add("encode", perf_counter() - t0)
 
@@ -174,7 +169,6 @@ def anonymize_embedding(
         target_private=i_prime,
         applied=applied,
         zhat_crc32=crc,
-        x_hat=x_hat,
     )
     return x_hat, record
 

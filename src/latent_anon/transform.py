@@ -172,19 +172,6 @@ class ConstantCoin:
         return self.value
 
 
-def modify_deterministic(i, n_classes):
-    """Always move to the mapped class; never returns i itself."""
-    return ModifyPolicy("deterministic", n_classes).modify(i)[0]
-
-
-def modify_probabilistic(i, n_classes, coin):
-    """Apply the mapping with probability 1/2, decided by one coin draw.
-
-    Returns (target class, applied flag).
-    """
-    return ModifyPolicy("probabilistic", n_classes).modify(i, coin)
-
-
 @dataclass
 class ModifyPolicy:
     """How the pipeline picks the target private class.

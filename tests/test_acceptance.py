@@ -27,7 +27,6 @@ from latent_anon.models import (
     Classifier,
     TrainConfig,
     VaeModel,
-    augmented_loss,
     kl_gaussian,
     load_model,
     loss_and_gradients,
@@ -48,8 +47,6 @@ from latent_anon.transform import (
     apply_transfer,
     cyclic_mapping,
     load_table,
-    modify_deterministic,
-    modify_probabilistic,
     save_table,
 )
 
@@ -114,7 +111,7 @@ def test_criterion_01_gradient_fidelity():
         beta = float(rng.uniform(0.2, 3.0))
         _, grads = loss_and_gradients(model, x, y, alpha, beta, noise)
         result = grad_check(
-            lambda: augmented_loss(model, x, y, alpha, beta, noise).total,
+            lambda: loss_and_gradients(model, x, y, alpha, beta, noise)[0].total,
             model.parameters(),
             grads,
             eps=1e-5,
@@ -160,7 +157,7 @@ def test_criterion_03_loss_reduction_and_frozen_head():
     y = rng.integers(0, 3, size=6)
     noise = rng.standard_normal((6, 4))
 
-    breakdown = augmented_loss(model, x, y, alpha=0.0, beta=1.0, noise=noise)
+    breakdown, grads = loss_and_gradients(model, x, y, alpha=0.0, beta=1.0, noise=noise)
     dist = model.encode(x)
     z = sample_latent(dist, noise)
     recon = float(reconstruction_loss(x, model.decode(z)).sum())
@@ -173,7 +170,6 @@ def test_criterion_03_loss_reduction_and_frozen_head():
     )
 
     head_before = (model.class_head.W.tobytes(), model.class_head.b.tobytes())
-    _, grads = loss_and_gradients(model, x, y, alpha=0.0, beta=1.0, noise=noise)
     Adam(learning_rate=1e-3).step(model.parameters(), grads)
     head_after = (model.class_head.W.tobytes(), model.class_head.b.tobytes())
     # the step itself must be real: the encoder does receive gradient
@@ -240,11 +236,13 @@ def test_criterion_05_windowing_oracle_and_cadence():
 def test_criterion_06_probabilistic_modify_frequency():
     coin = SecureCoin()
     n = 100_000
-    applied = sum(modify_probabilistic(0, 2, coin)[1] for _ in range(n))
+    binary = ModifyPolicy("probabilistic", 2)
+    applied = sum(binary.modify(0, coin)[1] for _ in range(n))
     fraction = applied / n
+    prob, det = ModifyPolicy("probabilistic", 3), ModifyPolicy("deterministic", 3)
     exact = all(
-        modify_probabilistic(i, 3, ConstantCoin(True)) == (modify_deterministic(i, 3), True)
-        and modify_probabilistic(i, 3, ConstantCoin(False)) == (i, False)
+        prob.modify(i, ConstantCoin(True)) == det.modify(i)
+        and prob.modify(i, ConstantCoin(False)) == (i, False)
         for i in range(3)
     )
     report(

@@ -296,6 +296,19 @@ class TestErrorPaths:
         assert "error:" in err and "channelz" in err
         assert list(out.iterdir()) == []
 
+    def test_missing_schema_key(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"channels": ["a"], "sampling_rate_hz": 10.0}))
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", str(schema), "--data", str(tmp_path), "--out", str(out),
+            "--window", "2", "--stride", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "path_pattern" in err
+        assert list(out.iterdir()) == []
+
     def test_gridsearch_smoke(self, workspace, tmp_path):
         out = tmp_path / "grid"
         assert main([

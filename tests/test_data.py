@@ -395,9 +395,19 @@ class TestCsvLoader:
 
     def test_schema_json_round_trip(self, tmp_path):
         import json
+        from dataclasses import asdict
 
         schema = simple_schema()
         path = tmp_path / "schema.json"
-        path.write_text(json.dumps(schema.to_dict()))
+        path.write_text(json.dumps(asdict(schema)))
         loaded = CsvSchema.from_json(path)
         assert loaded == schema
+
+    @pytest.mark.parametrize("raw", [5, [], ["channels"]])
+    def test_schema_json_not_an_object(self, tmp_path, raw):
+        import json
+
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CsvFormatError, match="not a JSON object"):
+            CsvSchema.from_json(path)

@@ -11,7 +11,6 @@ from latent_anon.models import (
     Classifier,
     LatentDistribution,
     VaeModel,
-    augmented_loss,
     kl_gaussian,
     loss_and_gradients,
     reconstruction_loss,
@@ -206,7 +205,7 @@ class TestAugmentedLoss:
         x = rng.standard_normal((5, 6))
         y = rng.integers(0, 2, size=5)
         noise = rng.standard_normal((5, 3))
-        breakdown = augmented_loss(model, x, y, alpha=0.0, beta=1.0, noise=noise)
+        breakdown = loss_and_gradients(model, x, y, alpha=0.0, beta=1.0, noise=noise)[0]
         dist = model.encode(x)
         z = sample_latent(dist, noise)
         recon = reconstruction_loss(x, model.decode(z)).sum()
@@ -219,7 +218,7 @@ class TestAugmentedLoss:
         x = rng.standard_normal((4, 6))
         y = rng.integers(0, 2, size=4)
         noise = rng.standard_normal((4, 3))
-        breakdown = augmented_loss(model, x, y, alpha=0.0, beta=0.0, noise=noise)
+        breakdown = loss_and_gradients(model, x, y, alpha=0.0, beta=0.0, noise=noise)[0]
         assert breakdown.total == pytest.approx(breakdown.reconstruction, abs=1e-12)
 
     def test_term_by_term_scalar_oracle(self):
@@ -263,7 +262,7 @@ class TestAugmentedLoss:
             ce_sum += ce
             total += recon + beta * kl + alpha * ce
 
-        breakdown = augmented_loss(model, x, y, alpha, beta, noise)
+        breakdown = loss_and_gradients(model, x, y, alpha, beta, noise)[0]
         assert breakdown.reconstruction == pytest.approx(recon_sum, abs=1e-10)
         assert breakdown.kl == pytest.approx(kl_sum, abs=1e-10)
         assert breakdown.classification == pytest.approx(ce_sum, abs=1e-10)
@@ -275,7 +274,7 @@ class TestAugmentedLoss:
         x = rng.standard_normal((6, 6))
         y = rng.integers(0, 2, size=6)
         noise = rng.standard_normal((6, 3))
-        b = augmented_loss(model, x, y, alpha=2.5, beta=1.5, noise=noise)
+        b = loss_and_gradients(model, x, y, alpha=2.5, beta=1.5, noise=noise)[0]
         assert b.total == pytest.approx(
             b.reconstruction + b.beta * b.kl + b.alpha * b.classification, abs=1e-10
         )
@@ -283,12 +282,24 @@ class TestAugmentedLoss:
     def test_label_out_of_range(self):
         model = tiny_vae(23)
         with pytest.raises(ValueError):
-            augmented_loss(model, np.zeros((1, 6)), [2], 1.0, 1.0, np.zeros((1, 3)))
+            loss_and_gradients(model, np.zeros((1, 6)), [2], 1.0, 1.0, np.zeros((1, 3)))
 
     def test_empty_batch(self):
         model = tiny_vae(24)
         with pytest.raises(ValueError):
-            augmented_loss(model, np.zeros((0, 6)), [], 1.0, 1.0, np.zeros((0, 3)))
+            loss_and_gradients(model, np.zeros((0, 6)), [], 1.0, 1.0, np.zeros((0, 3)))
+
+    def test_vector_label_and_noise_shapes_checked(self):
+        model = tiny_vae(24)
+        x, y, noise = np.zeros((2, 6)), [0, 1], np.zeros((2, 3))
+        for args in (
+            (np.zeros(6), [0], np.zeros((1, 3))),  # a vector, not a batch
+            (x, [0], noise),
+            (x, y, np.zeros((2, 2))),
+            (x, y, np.zeros(3)),
+        ):
+            with pytest.raises(ValueError):
+                loss_and_gradients(model, args[0], args[1], 1.0, 1.0, args[2])
 
 
 class TestAugmentedLossGradients:
@@ -301,7 +312,7 @@ class TestAugmentedLossGradients:
         alpha, beta = 1.7, 0.8
         breakdown, grads = loss_and_gradients(model, x, y, alpha, beta, noise)
         report = grad_check(
-            lambda: augmented_loss(model, x, y, alpha, beta, noise).total,
+            lambda: loss_and_gradients(model, x, y, alpha, beta, noise)[0].total,
             model.parameters(),
             grads,
             eps=1e-5,
@@ -337,6 +348,42 @@ class TestAugmentedLossGradients:
         noise = rng.standard_normal((2, 3))
         _, grads = loss_and_gradients(model, x, y, alpha=0.0, beta=0.0, noise=noise)
         assert np.any(grads[0] != 0.0)  # encoder.layers[0].W
+
+
+class TestVectorAtModelBoundary:
+    """The models lift one vector to a one-row batch; the layers see batches only."""
+
+    def calls(self):
+        rng = np.random.default_rng(40)
+        clf = Classifier(6, 3, hidden=(5, 4), rng=rng)
+        vae = tiny_vae(41)
+        return {
+            "predict_proba": (clf.predict_proba, rng.standard_normal((7, 6))),
+            "encode.mu": (lambda x: vae.encode(x).mu, rng.standard_normal((7, 6))),
+            "encode.logvar": (lambda x: vae.encode(x).logvar, rng.standard_normal((7, 6))),
+            "decode": (vae.decode, rng.standard_normal((7, 3))),
+            "classify_latent": (vae.classify_latent, rng.standard_normal((7, 3))),
+        }
+
+    def test_vector_equals_one_row_batch_bitwise(self):
+        for name, (fn, xs) in self.calls().items():
+            single = fn(xs[0])
+            assert single.ndim == 1, name
+            assert single.tobytes() == fn(xs[:1])[0].tobytes(), name
+
+    def test_batch_matches_per_row_calls(self):
+        for name, (fn, xs) in self.calls().items():
+            batch = fn(xs)
+            assert batch.shape[0] == xs.shape[0], name
+            for k in range(xs.shape[0]):
+                # batched and one-row matmuls may take different BLAS paths
+                assert np.allclose(batch[k], fn(xs[k]), rtol=0, atol=1e-12), name
+
+    def test_predict_keeps_the_input_rank(self):
+        clf = Classifier(6, 3, hidden=(5,), rng=np.random.default_rng(42))
+        xs = np.random.default_rng(43).standard_normal((4, 6))
+        assert isinstance(clf.predict(xs[0]), int)
+        assert clf.predict(xs).tolist() == [clf.predict(x) for x in xs]
 
 
 class TestClassifierGradients:

@@ -13,14 +13,12 @@ from latent_anon.nn import (
     Adam,
     ContainerError,
     Dense,
-    cross_entropy,
+    cross_entropy_from_labels,
     grad_check,
-    load_tensors,
-    one_hot,
-    save_tensors,
     softmax,
     squared_error,
 )
+from latent_anon.nn.serialize import read_tensors, write_tensors
 
 
 def make_dense(w, b, activation="identity"):
@@ -35,22 +33,37 @@ def make_dense(w, b, activation="identity"):
 class TestDenseForward:
     def test_identity_weights(self):
         layer = make_dense(np.eye(2), [0.0, 0.0])
-        assert np.allclose(layer.forward([3.0, -1.0])[0], [3.0, -1.0])
+        assert np.allclose(layer.forward([[3.0, -1.0]])[0], [[3.0, -1.0]])
 
     def test_zero_weights_return_bias(self):
         layer = make_dense(np.zeros((2, 3)), [1.0, 2.0])
-        for x in ([0.0, 0.0, 0.0], [5.0, -2.0, 7.0]):
-            assert np.allclose(layer.forward(x)[0], [1.0, 2.0])
+        y, _ = layer.forward([[0.0, 0.0, 0.0], [5.0, -2.0, 7.0]])
+        assert np.allclose(y, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_relu_hand_computed(self):
         layer = make_dense([[1.0, 2.0], [0.0, 1.0]], [0.5, -0.5], "relu")
         # pre-activation [-0.5, -1.5], both clipped
-        assert np.allclose(layer.forward([1.0, -1.0])[0], [0.0, 0.0])
+        assert np.allclose(layer.forward([[1.0, -1.0]])[0], [[0.0, 0.0]])
 
     def test_shape_mismatch(self):
         layer = make_dense(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
-            layer.forward([1.0, 2.0, 3.0])
+            layer.forward([[1.0, 2.0, 3.0]])
+
+    def test_vector_input_rejected(self):
+        # layers take batches only; the models lift a vector at their boundary
+        layer = make_dense(np.eye(2), [0.0, 0.0])
+        with pytest.raises(ValueError):
+            layer.forward([1.0, 2.0])
+
+    def test_gradient_shape_checked(self):
+        # both gradients would broadcast against the (2, 2) batch unchecked
+        layer = make_dense(np.eye(2), [0.0, 0.0], "tanh")
+        _, cache = layer.forward(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            layer.backward(np.ones((1, 2)), cache)
+        with pytest.raises(ValueError):
+            layer.backward_preactivation(np.ones(2), cache)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -58,9 +71,9 @@ class TestDenseForward:
         xs = rng.standard_normal((5, 4))
         batch, _ = layer.forward(xs)
         for k in range(5):
-            single, _ = layer.forward(xs[k])
-            # batched and single matmuls may take different BLAS paths
-            assert np.allclose(batch[k], single, rtol=0, atol=1e-12)
+            single, _ = layer.forward(xs[k : k + 1])
+            # batched and one-row matmuls may take different BLAS paths
+            assert np.allclose(batch[k], single[0], rtol=0, atol=1e-12)
 
     def test_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(2)
@@ -80,7 +93,7 @@ class TestDenseForward:
         rng = np.random.default_rng(seed)
         layer = Dense(5, 3, "identity", rng)
         layer.b[...] = 0.0
-        x, y = rng.standard_normal(5), rng.standard_normal(5)
+        x, y = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
         lhs = layer.forward(alpha * x + beta * y)[0]
         rhs = alpha * layer.forward(x)[0] + beta * layer.forward(y)[0]
         assert np.allclose(lhs, rhs, atol=1e-10)
@@ -120,36 +133,49 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    """cross_entropy_from_labels: per-row -log p[label] over a (B, M) batch."""
+
     def test_perfect_prediction(self):
-        assert cross_entropy([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert cross_entropy_from_labels([[1.0, 0.0]], [0])[0] == 0.0
 
     def test_uniform_two_classes(self):
-        assert cross_entropy([0.5, 0.5], [1.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
+        value = cross_entropy_from_labels([[0.5, 0.5]], [0])[0]
+        assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_direct_evaluation(self):
-        assert cross_entropy([0.1, 0.7, 0.2], [0.0, 1.0, 0.0]) == pytest.approx(
-            -math.log(0.7), abs=1e-12
-        )
+        values = cross_entropy_from_labels([[0.1, 0.7, 0.2], [0.1, 0.7, 0.2]], [1, 2])
+        assert values.shape == (2,)
+        assert values[0] == pytest.approx(-math.log(0.7), abs=1e-12)
+        assert values[1] == pytest.approx(-math.log(0.2), abs=1e-12)
 
     def test_non_one_hot_rejected(self):
+        # targets are class indices, one per row; target rows are rejected
+        for target in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]], [[1.0, 0.0]]):
+            with pytest.raises(ValueError):
+                cross_entropy_from_labels([[0.5, 0.5]], target)
+
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], [0.5, 0.5])
+            cross_entropy_from_labels([[0.5, 0.5], [0.5, 0.5]], [0])
         with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], [0.0, 0.0])
+            cross_entropy_from_labels([0.5, 0.5], [0])
+
+    def test_out_of_range_label_rejected(self):
+        for label in (2, -1):
+            with pytest.raises(ValueError):
+                cross_entropy_from_labels([[0.5, 0.5]], [label])
 
     def test_nonnegative_zero_iff_certain(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = softmax(rng.standard_normal(4))
-            y = one_hot([int(rng.integers(0, 4))], 4)[0]
-            value = cross_entropy(p, y)
+            label = int(rng.integers(0, 4))
+            value = cross_entropy_from_labels(p[None, :], [label])[0]
             assert value >= 0.0
-            assert (value == 0.0) == (p[np.argmax(y)] == 1.0)
+            assert (value == 0.0) == (p[label] == 1.0)
 
     def test_zero_probability_clamped(self):
-        value = cross_entropy([0.0, 1.0], [1.0, 0.0])
+        value = cross_entropy_from_labels([[0.0, 1.0]], [0])[0]
         assert value == pytest.approx(-math.log(1e-12))
 
 
@@ -157,17 +183,17 @@ class TestBackward:
     def test_linear(self):
         # loss = w * x with x = 2: dloss/dw = 2
         layer = make_dense([[1.5]], [0.0])
-        y, cache = layer.forward(np.array([2.0]))
-        _, d_w, _ = layer.backward(np.array([1.0]), cache)
+        y, cache = layer.forward(np.array([[2.0]]))
+        _, d_w, _ = layer.backward(np.array([[1.0]]), cache)
         assert d_w[0, 0] == pytest.approx(2.0)
 
     def test_quadratic(self):
         # loss = (w - 3)^2 at w = 1 has gradient -4; realized as a dense layer
         # with input 1 feeding the squared-error loss against target 3
         layer = make_dense([[1.0]], [0.0])
-        y, cache = layer.forward(np.array([1.0]))
+        y, cache = layer.forward(np.array([[1.0]]))
         # d/dy of 0.5*(y-3)^2, doubled below
-        _, d_w, _ = layer.backward(y - np.array([3.0]), cache)
+        _, d_w, _ = layer.backward(y - np.array([[3.0]]), cache)
         assert 2.0 * d_w[0, 0] == pytest.approx(-4.0)
 
     def test_gradient_shapes_match_parameters(self):
@@ -195,11 +221,11 @@ class TestBackward:
     def test_softmax_activation_backward(self):
         rng = np.random.default_rng(7)
         layer = Dense(4, 3, "softmax", rng)
-        x = rng.standard_normal(4)
-        d_y = rng.standard_normal(3)
+        x = rng.standard_normal((1, 4))
+        d_y = rng.standard_normal((1, 3))
 
         def loss():
-            return float(np.dot(layer.forward(x)[0], d_y))
+            return float(np.dot(layer.forward(x)[0][0], d_y[0]))
 
         _, cache = layer.forward(x)
         _, d_w, d_b = layer.backward(d_y, cache)
@@ -255,7 +281,7 @@ class TestGradCheck:
         layer = Dense(2, 2, "relu", rng)
         layer.W[...] = np.eye(2)
         layer.b[...] = 0.0
-        x = np.array([0.0, 1.0])  # first unit sits exactly on the kink
+        x = np.array([[0.0, 1.0]])  # first unit sits exactly on the kink
 
         def loss():
             return float(layer.forward(x)[0].sum())
@@ -265,7 +291,7 @@ class TestGradCheck:
             return cache[1].ravel()
 
         _, cache = layer.forward(x)
-        _, _, d_b = layer.backward(np.ones(2), cache)
+        _, _, d_b = layer.backward(np.ones((1, 2)), cache)
         report = grad_check(loss, [layer.b], [d_b], eps=1e-5, kink_margins=margins)
         assert report.n_skipped >= 1
         assert report.max_rel_error < 1e-6
@@ -330,8 +356,10 @@ class TestSerialization:
             "scalarish": rng.standard_normal(1),
         }
         path = tmp_path / "params.lann"
-        save_tensors(path, tensors)
-        loaded = load_tensors(path)
+        with open(path, "wb") as f:
+            write_tensors(f, tensors)
+        with open(path, "rb") as f:
+            loaded = read_tensors(f)
         assert list(loaded) == list(tensors)
         for name in tensors:
             assert loaded[name].tobytes() == tensors[name].tobytes()
@@ -339,13 +367,14 @@ class TestSerialization:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lann"
         path.write_bytes(b"NOPE1" + b"\x00" * 16)
-        with pytest.raises(ContainerError):
-            load_tensors(path)
+        with open(path, "rb") as f, pytest.raises(ContainerError):
+            read_tensors(f)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "params.lann"
-        save_tensors(path, {"w": np.ones((3, 3))})
+        with open(path, "wb") as f:
+            write_tensors(f, {"w": np.ones((3, 3))})
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
-        with pytest.raises(ContainerError):
-            load_tensors(path)
+        with open(path, "rb") as f, pytest.raises(ContainerError):
+            read_tensors(f)

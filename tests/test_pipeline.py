@@ -88,7 +88,7 @@ class TestAnonymizeEmbedding:
     def test_transfer_is_visible_through_passthrough_vae(self):
         registry = passthrough_registry()
         x = np.array([0.5, 1.0, 2.0])  # private class 0
-        x_hat, record = anonymize_embedding(x, registry, noise=np.zeros(3))
+        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean")
         assert np.allclose(x_hat, x - np.zeros(3) + np.ones(3) * 10.0)
         assert record.predicted_private == 0 and record.target_private == 1
         assert record.applied
@@ -107,7 +107,7 @@ class TestAnonymizeEmbedding:
             policy=ModifyPolicy(mode="identity", n_classes=2),
         )
         x = rng.standard_normal(6)
-        x_hat, record = anonymize_embedding(x, registry, noise=np.zeros(3))
+        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean")
         expected = vae.decode(vae.encode(x).mu)
         assert x_hat.tobytes() == expected.tobytes()
         assert not record.applied and record.target_private == record.predicted_private
@@ -115,9 +115,7 @@ class TestAnonymizeEmbedding:
     def test_never_apply_coin(self):
         registry = passthrough_registry(policy=ModifyPolicy(mode="probabilistic", n_classes=2))
         x = np.array([9.0, 0.0, 0.0])  # private class 1
-        x_hat, record = anonymize_embedding(
-            x, registry, noise=np.zeros(3), coin=ConstantCoin(False)
-        )
+        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean", coin=ConstantCoin(False))
         assert not record.applied
         assert record.target_private == record.predicted_private == 1
         assert np.allclose(x_hat, x)
@@ -125,35 +123,34 @@ class TestAnonymizeEmbedding:
     def test_applied_iff_class_changed(self):
         registry = passthrough_registry(policy=ModifyPolicy(mode="probabilistic", n_classes=2))
         coin = SequenceCoin(flips=[True, False])
-        _, r1 = anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3), coin=coin)
-        _, r2 = anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3), coin=coin)
+        _, r1 = anonymize_embedding(np.zeros(3), registry, latent_mode="mean", coin=coin)
+        _, r2 = anonymize_embedding(np.zeros(3), registry, latent_mode="mean", coin=coin)
         for r in (r1, r2):
             assert (r.target_private != r.predicted_private) == r.applied
 
     def test_step_order_classify_before_latent_ops(self):
         log = []
         registry = passthrough_registry(log=log)
-        anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3))
+        anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
         assert log == ["public", "private", "encode", "decode"]
 
     def test_missing_vae_for_predicted_class(self):
         registry = passthrough_registry()
         registry.public_classifier = StubClassifier(2, 3, rule=lambda x: 1)
         with pytest.raises(PipelineError, match="public class 1"):
-            anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3))
+            anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
 
     def test_missing_mean_cell_is_an_error(self):
         registry = passthrough_registry()
         registry.mean_table = MeanLatentTable(1, 2, 3, {(0, 0): (np.zeros(3), 1)})
         with pytest.raises(Exception, match=r"\(u=0, i=1\)"):
-            anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3))
+            anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
 
     def test_deterministic_mode_is_pure(self):
         registry = passthrough_registry()
         x = np.array([1.0, 2.0, 3.0])
-        noise = np.array([0.1, 0.2, 0.3])
-        a, ra = anonymize_embedding(x, registry, noise=noise)
-        b, rb = anonymize_embedding(x, registry, noise=noise)
+        a, ra = anonymize_embedding(x, registry, noise_rng=np.random.default_rng(5))
+        b, rb = anonymize_embedding(x, registry, noise_rng=np.random.default_rng(5))
         assert a.tobytes() == b.tobytes()
         assert ra.zhat_crc32 == rb.zhat_crc32
 
@@ -260,9 +257,7 @@ class TestAnonymizeStream:
         registry = passthrough_registry(dim=6)
         rows = [np.array([k, k + 0.5]) for k in range(3)]
         outputs = list(
-            anonymize_stream(
-                rows, 3, 1, registry, noise=np.zeros(6),
-            )
+            anonymize_stream(rows, 3, 1, registry, latent_mode="mean")
         )
         # private class 0 shifts by +10 under the passthrough registry
         assert np.allclose(outputs[0][0], np.array([0, 0.5, 1, 1.5, 2, 2.5]) + 10.0)
@@ -368,5 +363,5 @@ class TestThroughput:
     def test_stage_timings_collected(self):
         registry = passthrough_registry()
         timings = StageTimings()
-        anonymize_embedding(np.zeros(3), registry, noise=np.zeros(3), timings=timings)
+        anonymize_embedding(np.zeros(3), registry, latent_mode="mean", timings=timings)
         assert all(len(v) == 1 for v in timings.samples.values())

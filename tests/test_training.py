@@ -86,7 +86,7 @@ class TestTrainVae:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_vae([], TrainConfig(epochs=1))
+            train_vae([], TrainConfig(epochs=1), n_private=2)
 
     def test_training_improves_reconstruction_tenfold(self):
         # single-class set: train against the untrained model's error
@@ -144,7 +144,7 @@ class TestTrainClassifier:
     def test_missing_labels_rejected(self):
         bad = [Embedding(x=np.zeros(4))]
         with pytest.raises(ValueError):
-            train_classifier(bad, "private", TrainConfig(epochs=1))
+            train_classifier(bad, "private", TrainConfig(epochs=1), n_classes=2)
 
 
 class TestGridSearch:
@@ -156,7 +156,7 @@ class TestGridSearch:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            grid_search({0: synth_embeddings()}, [], [1.0], TrainConfig(epochs=1))
+            grid_search({0: synth_embeddings()}, [], [1.0], TrainConfig(epochs=1), n_private=2)
 
     def test_best_attains_minimum(self):
         datasets = {0: synth_embeddings(seed=6)}
@@ -224,8 +224,10 @@ class TestPersistence:
             (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "'kind'"),
             (lambda meta: {k: v for k, v in meta.items() if k != "n_classes"}, "'n_classes'"),
             (lambda meta: [meta], "not a JSON object"),
+            (lambda meta: {**meta, "hidden": 5}, "wrongly typed"),
+            (lambda meta: {**meta, "input_dim": "4"}, "wrongly typed"),
         ],
-        ids=["no-kind", "no-constructor-key", "not-an-object"],
+        ids=["no-kind", "no-constructor-key", "not-an-object", "int-hidden", "str-input-dim"],
     )
     def test_bad_header_raises_container_error(self, tmp_path, edit, message):
         path = tmp_path / "clf.lann"

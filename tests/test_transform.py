@@ -18,8 +18,6 @@ from latent_anon.transform import (
     compute_mean_table,
     cyclic_mapping,
     load_table,
-    modify_deterministic,
-    modify_probabilistic,
     save_table,
     transfer_vector,
 )
@@ -127,43 +125,51 @@ class TestTransferVector:
 
 class TestModifyDeterministic:
     def test_binary_flip(self):
-        assert modify_deterministic(0, 2) == 1
-        assert modify_deterministic(1, 2) == 0
+        policy = ModifyPolicy("deterministic", 2)
+        assert policy.modify(0) == (1, True)
+        assert policy.modify(1) == (0, True)
 
     def test_three_class_default_cycle(self):
-        assert [modify_deterministic(i, 3) for i in range(3)] == [1, 2, 0]
+        policy = ModifyPolicy("deterministic", 3)
+        assert [policy.modify(i)[0] for i in range(3)] == [1, 2, 0]
 
     def test_binary_involution(self):
+        policy = ModifyPolicy("deterministic", 2)
         for i in range(2):
-            assert modify_deterministic(modify_deterministic(i, 2), 2) == i
+            assert policy.modify(policy.modify(i)[0])[0] == i
 
     def test_never_identity(self):
         for m in range(2, 6):
+            policy = ModifyPolicy("deterministic", m)
             for i in range(m):
-                assert modify_deterministic(i, m) != i
+                assert policy.modify(i)[0] != i
 
 
 class TestModifyProbabilistic:
     def test_always_apply_behaves_deterministically(self):
+        policy = ModifyPolicy("probabilistic", 3)
         for i in range(3):
-            result, applied = modify_probabilistic(i, 3, ConstantCoin(True))
+            result, applied = policy.modify(i, ConstantCoin(True))
             assert applied and result == cyclic_mapping(3)[i]
 
     def test_never_apply_is_identity(self):
+        policy = ModifyPolicy("probabilistic", 3)
         for i in range(3):
-            result, applied = modify_probabilistic(i, 3, ConstantCoin(False))
+            result, applied = policy.modify(i, ConstantCoin(False))
             assert not applied and result == i
 
     def test_injected_sequence(self):
+        policy = ModifyPolicy("probabilistic", 2)
         coin = SequenceCoin(flips=[True, False, True])
-        results = [modify_probabilistic(0, 2, coin) for _ in range(3)]
+        results = [policy.modify(0, coin) for _ in range(3)]
         assert results == [(1, True), (0, False), (1, True)]
 
     def test_exhausted_source_raises(self):
+        policy = ModifyPolicy("probabilistic", 2)
         coin = SequenceCoin(flips=[True])
-        modify_probabilistic(0, 2, coin)
+        policy.modify(0, coin)
         with pytest.raises(RuntimeError):
-            modify_probabilistic(0, 2, coin)
+            policy.modify(0, coin)
 
 
 class TestModifyPolicy:
