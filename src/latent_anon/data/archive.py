@@ -1,25 +1,29 @@
-"""Embedding archive format, magic "EMBA1".
+"""Embedding archive format, magic "EMBA1", in the shared checked frame
+(`latent_anon.container`). Layout (little-endian):
 
-Layout (little-endian):
-
-    b"EMBA1", version byte 0x01
+    b"EMBA1", version byte 0x02
     header: window, stride, channels, public classes, private classes as
     uint32, then the embedding count as uint64
     per embedding: public label uint16, private label uint16, then
     window * channels float64 values
+    CRC32 of every byte before it
 
-The arrays are stored raw, so a round trip is bit-exact.
+Version 1 files lack the CRC and still load. The arrays are stored raw, so a
+round trip is bit-exact.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .. import container
 from .types import Embedding
 
 MAGIC = b"EMBA1"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<IIIIIQ")
 
 
 class ArchiveError(ValueError):
@@ -39,8 +43,13 @@ class ArchiveMeta:
         return self.window * self.n_channels
 
 
+def _record_dtype(dim):
+    return np.dtype([("public", "<u2"), ("private", "<u2"), ("x", "<f8", (dim,))])
+
+
 def save_embeddings(path, embeddings, meta):
     dim = meta.dim
+    records = np.empty(len(embeddings), dtype=_record_dtype(dim))
     for k, e in enumerate(embeddings):
         if e.true_public is None or e.true_private is None:
             raise ArchiveError(f"embedding {k} is missing labels")
@@ -48,60 +57,22 @@ def save_embeddings(path, embeddings, meta):
             raise ArchiveError(f"embedding {k} has labels outside the declared class counts")
         if e.x.shape != (dim,):
             raise ArchiveError(f"embedding {k} has dim {e.x.shape}, expected ({dim},)")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<B", VERSION))
-        f.write(
-            struct.pack(
-                "<IIIIIQ",
-                meta.window,
-                meta.stride,
-                meta.n_channels,
-                meta.n_public,
-                meta.n_private,
-                len(embeddings),
-            )
-        )
-        for e in embeddings:
-            f.write(struct.pack("<HH", e.true_public, e.true_private))
-            f.write(np.ascontiguousarray(e.x, dtype="<f8").tobytes())
-
-
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise ArchiveError(f"truncated archive while reading {what}")
-    return data
+        records[k] = (e.true_public, e.true_private, e.x)
+    header = _HEADER.pack(*astuple(meta), len(embeddings))
+    container.write_framed(path, MAGIC, VERSION, header, records)
 
 
 def load_embeddings(path):
     """Returns (embeddings, meta). Subject and origin provenance is not stored."""
-    with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ArchiveError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<B", _read_exact(f, 1, "version"))
-        if version != VERSION:
-            raise ArchiveError(f"unsupported archive version {version}")
-        window, stride, channels, n_public, n_private, count = struct.unpack(
-            "<IIIIIQ", _read_exact(f, 28, "header")
-        )
-        meta = ArchiveMeta(
-            window=window,
-            stride=stride,
-            n_channels=channels,
-            n_public=n_public,
-            n_private=n_private,
-        )
-        dim = meta.dim
-        embeddings = []
-        for k in range(count):
-            u, i = struct.unpack("<HH", _read_exact(f, 4, f"labels of embedding {k}"))
-            if u >= n_public or i >= n_private:
-                raise ArchiveError(f"embedding {k} has labels outside the declared class counts")
-            raw = _read_exact(f, dim * 8, f"values of embedding {k}")
-            x = np.frombuffer(raw, dtype="<f8").copy()
-            embeddings.append(Embedding(x=x, true_public=u, true_private=i))
-        if f.read(1) != b"":
-            raise ArchiveError("trailing bytes after the declared embedding count")
-    return embeddings, meta
+    raw = Path(path).read_bytes()
+    header, body = container.unframe(raw, MAGIC, VERSION, _HEADER, ArchiveError, legacy_version=1)
+    meta, count = ArchiveMeta(*header[:5]), header[5]
+    records = container.records(body, _record_dtype(meta.dim), count, ArchiveError)
+    bad = (records["public"] >= meta.n_public) | (records["private"] >= meta.n_private)
+    if bad.any():
+        raise ArchiveError(f"embedding {bad.argmax()} has labels outside the declared class counts")
+    # a copy per row: the record fields are unaligned views into one buffer
+    return [
+        Embedding(x=x.copy(), true_public=u, true_private=i)
+        for u, i, x in zip(records["public"].tolist(), records["private"].tolist(), records["x"])
+    ], meta

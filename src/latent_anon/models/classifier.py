@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..nn.layers import MLP, as_batch
-from ..nn.losses import cross_entropy_from_labels
+from ..nn.losses import as_labels, cross_entropy_from_labels
 
 
 class Classifier:
@@ -52,7 +52,7 @@ class Classifier:
 
     def loss_and_gradients(self, x, labels):
         """Summed cross entropy over the batch plus gradients aligned with parameters()."""
-        y = np.asarray(labels, dtype=int)
+        y = as_labels(labels)
         probs, caches = self.mlp.forward(x)
         ce = cross_entropy_from_labels(probs, y)
         g = probs.copy()

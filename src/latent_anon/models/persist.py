@@ -1,16 +1,23 @@
-"""Model files: a JSON metadata header followed by the LANN1 tensor container.
-
-Layout: 8-byte little-endian length of the JSON blob, the JSON (utf-8), then
-the tensor container. Round trips are bit-exact because tensors are stored as
-raw float64.
+"""Model files in the shared checked frame (`latent_anon.container`): magic
+"LAMF1", version byte, the u64 length of the JSON metadata, the JSON (utf-8),
+the LANN1 tensor container, then the CRC32. A file without the magic is the
+bare payload (length, JSON, tensors) from before the frame and loads without
+the check. Tensors are raw float64, so round trips are bit-exact.
 """
 
+import io
 import json
 import struct
+from pathlib import Path
 
+from .. import container
 from ..nn.serialize import ContainerError, read_tensors, write_tensors
 from .classifier import Classifier
 from .vae import VaeModel
+
+MAGIC = b"LAMF1"
+VERSION = 1
+_HEADER = struct.Struct("<Q")  # length of the JSON blob
 
 
 def _meta_for(model, training_seed):
@@ -41,24 +48,21 @@ def _meta_for(model, training_seed):
 def save_model(path, model, training_seed=None):
     meta = _meta_for(model, training_seed)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        write_tensors(f, model.named_tensors())
+    tensors = io.BytesIO()
+    write_tensors(tensors, model.named_tensors())
+    container.write_framed(path, MAGIC, VERSION, _HEADER.pack(len(blob)), blob, tensors.getbuffer())
 
 
 def load_model(path):
     """Rebuild a model from disk. Returns (model, metadata dict)."""
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) != 8:
-            raise ContainerError("truncated model file")
-        (meta_len,) = struct.unpack("<Q", head)
-        blob = f.read(meta_len)
-        if len(blob) != meta_len:
-            raise ContainerError("truncated model metadata")
-        meta = json.loads(blob.decode("utf-8"))
-        tensors = read_tensors(f)
+    raw = Path(path).read_bytes()
+    if not raw.startswith(MAGIC):  # a bare payload: frame it as unchecked version 0
+        raw = MAGIC + b"\x00" + raw
+    (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError, 0)
+    if len(body) < meta_len:
+        raise ContainerError("truncated model metadata")
+    meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
+    tensors = read_tensors(io.BytesIO(body[meta_len:]))
 
     if not isinstance(meta, dict):
         raise ContainerError("model metadata is not a JSON object")

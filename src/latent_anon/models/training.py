@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..nn.losses import as_labels
 from ..nn.optim import Adam
 from .classifier import Classifier
 from .vae import VaeModel, loss_and_gradients
@@ -33,7 +34,7 @@ def _stack(embeddings, attribute):
         labels = [e.true_private for e in embeddings]
     if any(label is None for label in labels):
         raise ValueError(f"{attribute} labels missing from the dataset")
-    return x, np.asarray(labels, dtype=int)
+    return x, as_labels(labels)
 
 
 def derive_seed(*tags):

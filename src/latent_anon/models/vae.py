@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.layers import MLP, Dense, as_batch
-from ..nn.losses import cross_entropy_from_labels, squared_error
+from ..nn.losses import as_labels, cross_entropy_from_labels, squared_error
 
 
 @dataclass
@@ -152,10 +152,6 @@ class VaeModel:
         probs, _ = self.class_head.forward(zb)
         return probs[0] if single else probs
 
-    def reconstruct(self, x):
-        """Deterministic round trip through the posterior mean."""
-        return self.decode(self.encode(x).mu)
-
 
 def loss_and_gradients(model, x, labels, alpha, beta, noise):
     """Batch loss summed over items, recon + beta * KL + alpha * head cross
@@ -170,7 +166,7 @@ def loss_and_gradients(model, x, labels, alpha, beta, noise):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected a nonempty (B, n) batch, got shape {x.shape}")
-    y = np.asarray(labels, dtype=int)
+    y = as_labels(labels)
     if y.shape != (x.shape[0],):
         raise ValueError(f"expected {x.shape[0]} labels, got shape {y.shape}")
     if y.min() < 0 or y.max() >= model.n_private:

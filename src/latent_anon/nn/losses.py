@@ -21,10 +21,20 @@ def softmax(logits, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def as_labels(labels):
+    """Class labels as ints. A value that is not a whole number raises
+    ValueError instead of being truncated."""
+    labels = np.asarray(labels)
+    whole = labels.dtype.kind in "biu" or np.all(np.isfinite(labels) & (labels == np.round(labels)))
+    if not whole:
+        raise ValueError(f"labels must be whole numbers, got {labels}")
+    return labels.astype(int, copy=False)
+
+
 def cross_entropy_from_labels(probs, labels):
     """Per-row -log p[label] for a (B, M) probability matrix. Returns shape (B,)."""
     probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = as_labels(labels)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
         raise ValueError("expected (B, M) probs and (B,) labels")
     if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):

@@ -5,8 +5,8 @@ A mean table holds, for every (public class u, private class i) cell, the
 average latent vector of the training embeddings in that cell. It is dense:
 `means` has shape (U, M, J) and `counts` shape (U, M), and a count of 0 marks
 a cell with no training embeddings. The ZBAR1 file stores the same layout as
-one record per cell. Moving a latent z from private class i to i' within
-public class u is
+one record per cell, in the checked frame of `container`. Moving a latent z
+from private class i to i' within public class u is
 
     z_hat = z - mean(u, i) + mean(u, i')
 
@@ -21,10 +21,12 @@ cryptographically secure source per embedding).
 
 import secrets
 import struct
-import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from . import container
 
 TABLE_MAGIC = b"ZBAR1"
 TABLE_VERSION = 1
@@ -214,42 +216,27 @@ def _record_dtype(latent_dim):
     return np.dtype([("present", "u1"), ("count", "<u8"), ("mean", "<f8", (latent_dim,))])
 
 
-_HEADER = struct.Struct("<5sBHHI")  # magic, version, n_public, n_private, latent_dim
+_HEADER = struct.Struct("<HHI")  # n_public, n_private, latent_dim
 
 
 def save_table(table, path):
-    """Write the distribution file: magic, version, dims, one fixed-size
-    record per (u, i) cell in row-major order, then a CRC32 of everything
-    before it. Absent cells are written as all-zero records."""
+    """Write the distribution file in the shared frame (`container`): dims,
+    then one fixed-size record per (u, i) cell in row-major order, absent
+    cells as all-zero records."""
     records = np.zeros((table.n_public, table.n_private), dtype=_record_dtype(table.latent_dim))
     records["present"] = table.counts > 0
     records["count"] = table.counts
     records["mean"] = table.means
-    payload = _HEADER.pack(
-        TABLE_MAGIC, TABLE_VERSION, table.n_public, table.n_private, table.latent_dim
-    ) + records.tobytes()
-    with open(path, "wb") as f:
-        f.write(payload + struct.pack("<I", zlib.crc32(payload)))
+    header = _HEADER.pack(table.n_public, table.n_private, table.latent_dim)
+    container.write_framed(path, TABLE_MAGIC, TABLE_VERSION, header, records)
 
 
 def load_table(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size + 4:
-        raise TableError("truncated table file")
-    if raw[: len(TABLE_MAGIC)] != TABLE_MAGIC:
-        raise TableError(f"bad magic {raw[:len(TABLE_MAGIC)]!r}, expected {TABLE_MAGIC!r}")
-    _, version, n_public, n_private, latent_dim = _HEADER.unpack_from(raw)
-    if version != TABLE_VERSION:
-        raise TableError(f"unsupported table version {version}")
-    dtype = _record_dtype(latent_dim)
-    expected = _HEADER.size + n_public * n_private * dtype.itemsize + 4
-    if len(raw) != expected:
-        raise TableError(f"table file has {len(raw)} bytes, expected {expected}")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(raw[:-4]) != stored_crc:
-        raise TableError("table checksum mismatch")
-    records = np.frombuffer(raw[_HEADER.size : -4], dtype=dtype).reshape(n_public, n_private)
+    raw = Path(path).read_bytes()
+    dims, body = container.unframe(raw, TABLE_MAGIC, TABLE_VERSION, _HEADER, TableError)
+    n_public, n_private, latent_dim = dims
+    records = container.records(body, _record_dtype(latent_dim), n_public * n_private, TableError)
+    records = records.reshape(n_public, n_private)
     cells = {
         (int(u), int(i)): (records["mean"][u, i], records["count"][u, i])
         for u, i in np.argwhere(records["present"])

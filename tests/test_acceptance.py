@@ -235,7 +235,7 @@ def test_criterion_05_windowing_oracle_and_cadence():
 
 def test_criterion_06_probabilistic_modify_frequency():
     coin = SecureCoin()
-    n = 100_000
+    n = 250_000
     binary = ModifyPolicy("probabilistic", 2)
     applied = sum(binary.modify(0, coin)[1] for _ in range(n))
     fraction = applied / n

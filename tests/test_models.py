@@ -301,6 +301,11 @@ class TestAugmentedLoss:
             with pytest.raises(ValueError):
                 loss_and_gradients(model, args[0], args[1], 1.0, 1.0, args[2])
 
+    def test_fractional_label_rejected(self):
+        model = tiny_vae(25)
+        with pytest.raises(ValueError, match="whole numbers"):
+            loss_and_gradients(model, np.zeros((2, 6)), [0, 0.5], 1.0, 1.0, np.zeros((2, 3)))
+
 
 class TestAugmentedLossGradients:
     def test_matches_finite_differences(self):
@@ -408,3 +413,8 @@ class TestClassifierGradients:
         )
         assert report.n_checked > 0
         assert report.max_rel_error < 1e-6
+
+    def test_fractional_label_rejected(self):
+        clf = Classifier(5, 3, hidden=(4,), rng=np.random.default_rng(35))
+        with pytest.raises(ValueError, match="whole numbers"):
+            clf.loss_and_gradients(np.zeros((1, 5)), [1.9])

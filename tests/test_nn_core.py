@@ -165,6 +165,12 @@ class TestCrossEntropy:
             with pytest.raises(ValueError):
                 cross_entropy_from_labels([[0.5, 0.5]], [label])
 
+    def test_fractional_label_rejected(self):
+        for label in (0.7, 1.9, -0.5, np.nan):
+            with pytest.raises(ValueError, match="whole numbers"):
+                cross_entropy_from_labels([[0.5, 0.5]], [label])
+        assert cross_entropy_from_labels([[0.25, 0.75]], [1.0])[0] == -math.log(0.75)
+
     def test_nonnegative_zero_iff_certain(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from latent_anon.container import unframe, write_framed
 from latent_anon.data import Embedding, SynthConfig, synth_generate, window_embeddings
 from latent_anon.models import (
     Classifier,
@@ -19,6 +20,7 @@ from latent_anon.models import (
     train_classifier,
     train_vae,
 )
+from latent_anon.models import persist
 from latent_anon.nn import ContainerError
 
 
@@ -219,23 +221,30 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, message, framed",
         [
-            (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "'kind'"),
-            (lambda meta: {k: v for k, v in meta.items() if k != "n_classes"}, "'n_classes'"),
-            (lambda meta: [meta], "not a JSON object"),
-            (lambda meta: {**meta, "hidden": 5}, "wrongly typed"),
-            (lambda meta: {**meta, "input_dim": "4"}, "wrongly typed"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "'kind'", True),
+            (lambda meta: {k: v for k, v in meta.items() if k != "n_classes"}, "'n_classes'", True),
+            (lambda meta: [meta], "not a JSON object", True),
+            (lambda meta: {**meta, "hidden": 5}, "wrongly typed", True),
+            (lambda meta: {**meta, "input_dim": "4"}, "wrongly typed", True),
+            (lambda meta: {**meta, "hidden": 5}, "wrongly typed", False),
         ],
-        ids=["no-kind", "no-constructor-key", "not-an-object", "int-hidden", "str-input-dim"],
+        ids=["no-kind", "no-constructor-key", "not-an-object", "int-hidden", "str-input-dim",
+             "legacy-int-hidden"],
     )
-    def test_bad_header_raises_container_error(self, tmp_path, edit, message):
+    def test_bad_header_raises_container_error(self, tmp_path, edit, message, framed):
         path = tmp_path / "clf.lann"
         save_model(path, Classifier(4, 2, "public", rng=np.random.default_rng(0)))
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<Q", raw)
-        meta = json.loads(raw[8 : 8 + meta_len])
+        (meta_len,), body = unframe(
+            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+        )
+        meta = json.loads(bytes(body[:meta_len]))
         blob = json.dumps(edit(meta)).encode("utf-8")
-        path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + meta_len :])
+        head, tensors = struct.pack("<Q", len(blob)), bytes(body[meta_len:])
+        if framed:
+            write_framed(path, persist.MAGIC, persist.VERSION, head, blob, tensors)
+        else:  # the bare payload of a model file written before the frame
+            path.write_bytes(head + blob + tensors)
         with pytest.raises(ContainerError, match=message):
             load_model(path)
