@@ -10,7 +10,12 @@ class Classifier:
     """relu MLP with a softmax output over attribute classes.
 
     attribute is "public" or "private"; it is metadata only, the math does
-    not depend on it.
+    not depend on it. Inference runs the cacheless pass (MLP.logits and
+    MLP.infer); training runs forward with its caches. predict takes the
+    argmax of the logits after checking they are finite: softmax is
+    monotone, so this is the argmax of predict_proba wherever the top two
+    probabilities differ in float64, and at an exact tie of the
+    probabilities the larger logit wins.
     """
 
     def __init__(self, input_dim, n_classes, attribute="public", hidden=(64, 32), rng=None):
@@ -42,13 +47,20 @@ class Classifier:
     def predict_proba(self, x):
         """Class probabilities of one vector (n,) or of each row of a batch."""
         xb, single = as_batch(x)
-        probs, _ = self.mlp.forward(xb)
+        probs = self.mlp.infer(xb)
         return probs[0] if single else probs
 
     def predict(self, x):
-        """Argmax class; ties resolve to the lower index."""
-        probs = self.predict_proba(x)
-        return int(np.argmax(probs)) if probs.ndim == 1 else np.argmax(probs, axis=-1)
+        """Argmax of the logits; equal logits resolve to the lower index. An
+        empty batch or a non-finite logit raises ValueError, as in
+        predict_proba."""
+        xb, single = as_batch(x)
+        logits = self.mlp.logits(xb)
+        if logits.size == 0:
+            raise ValueError("predict of an empty batch")
+        if not np.isfinite(logits).all():
+            raise ValueError("predict requires finite logits")
+        return int(np.argmax(logits[0])) if single else np.argmax(logits, axis=-1)
 
     def loss_and_gradients(self, x, labels):
         """Summed cross entropy over the batch plus gradients aligned with parameters()."""

@@ -61,7 +61,10 @@ def load_model(path):
     (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError, 0)
     if len(body) < meta_len:
         raise ContainerError("truncated model metadata")
-    meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ContainerError(f"model metadata is not utf-8 JSON: {exc}") from None
     tensors = read_tensors(io.BytesIO(body[meta_len:]))
 
     if not isinstance(meta, dict):
@@ -85,11 +88,15 @@ def load_model(path):
                 hidden=tuple(meta["hidden"]),
             )
         else:
-            raise ContainerError(f"unknown model kind {meta['kind']!r}")
+            model = None
     except KeyError as exc:
         raise ContainerError(f"model metadata lacks key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ContainerError(f"model metadata {meta} has a wrongly typed value: {exc}") from None
+    except ValueError as exc:
+        raise ContainerError(f"model metadata {meta} has an invalid value: {exc}") from None
+    if model is None:
+        raise ContainerError(f"unknown model kind {meta['kind']!r}")
 
     slots = model.named_tensors()
     if set(slots) != set(tensors):

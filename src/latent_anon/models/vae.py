@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import MLP, Dense, as_batch
+from ..nn.layers import MLP, Dense, as_batch, check_batch
 from ..nn.losses import as_labels, cross_entropy_from_labels, squared_error
 
 
@@ -71,7 +71,12 @@ def reconstruction_loss(x, x_hat):
 
 
 class VaeModel:
-    """Encoder/decoder pair plus the private-attribute head, for one public class."""
+    """Encoder/decoder pair plus the private-attribute head, for one public class.
+
+    encode, decode and classify_latent run the cacheless inference pass
+    (MLP.infer, Dense.infer), bitwise equal to forward; loss_and_gradients
+    runs forward with its caches.
+    """
 
     def __init__(
         self,
@@ -134,22 +139,22 @@ class VaeModel:
         """Deterministic map to the posterior parameters (mu, logvar) of one
         vector (n,) or of each row of a batch."""
         xb, single = as_batch(x)
-        h, _ = self.encoder.forward(xb)
-        mu, _ = self.mu_head.forward(h)
-        logvar, _ = self.logvar_head.forward(h)
+        h = self.encoder.infer(xb)
+        mu = self.mu_head.infer(h)
+        logvar = self.logvar_head.infer(h)
         if single:
             mu, logvar = mu[0], logvar[0]
         return LatentDistribution(mu=mu, logvar=logvar)
 
     def decode(self, z):
         zb, single = as_batch(z)
-        x_hat, _ = self.decoder.forward(zb)
+        x_hat = self.decoder.infer(zb)
         return x_hat[0] if single else x_hat
 
     def classify_latent(self, z):
         """Softmax distribution of the private-attribute head at z."""
         zb, single = as_batch(z)
-        probs, _ = self.class_head.forward(zb)
+        probs = self.class_head.infer(check_batch(zb, self.latent_dim))
         return probs[0] if single else probs
 
 

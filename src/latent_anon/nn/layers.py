@@ -5,6 +5,12 @@ the models lift a single vector to a one-row batch once, at their boundary,
 with as_batch. Layers hold no per-call state: forward returns a cache that
 backward consumes, so inference on frozen parameters is safe from multiple
 threads.
+
+Training uses forward. Inference uses the cacheless pass: Dense.infer applies
+the layer with no cache and no checks, and MLP.logits checks the (B, n_0)
+batch once at its boundary, then returns the last layer's pre-activation
+(MLP.infer applies the last activation to it). Both run the same arithmetic
+as forward, so their outputs are bitwise equal to forward's.
 """
 
 import numpy as np
@@ -46,6 +52,14 @@ def as_batch(x):
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
+def check_batch(x, n_in):
+    """x as a float (B, n_in) batch; any other shape raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"expected a (B, {n_in}) batch, got shape {x.shape}")
+    return x
+
+
 def _check_grad(d, z):
     """The upstream gradient must match the layer output z, one row per item."""
     if np.shape(d) != z.shape:
@@ -75,12 +89,15 @@ class Dense:
         self.n_out = n_out
 
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"expected a (B, {self.n_in}) batch, got shape {x.shape}")
+        x = check_batch(x, self.n_in)
         z = x @ self.W.T + self.b
         y = _activate(self.activation, z)
         return y, (x, z, y)
+
+    def infer(self, x):
+        """activation(x @ W.T + b) for a float (B, n_in) batch the caller
+        has checked; no cache."""
+        return _activate(self.activation, x @ self.W.T + self.b)
 
     def backward(self, d_out, cache):
         """Returns (d_x, d_W, d_b) for the upstream gradient d_out."""
@@ -126,6 +143,19 @@ class MLP:
             x, cache = layer.forward(x)
             caches.append(cache)
         return x, caches
+
+    def logits(self, x):
+        """The last layer's pre-activation for a (B, sizes[0]) batch, checked
+        once here."""
+        x = check_batch(x, self.sizes[0])
+        for layer in self.layers[:-1]:
+            x = layer.infer(x)
+        last = self.layers[-1]
+        return x @ last.W.T + last.b
+
+    def infer(self, x):
+        """forward's output without the caches."""
+        return _activate(self.activations[-1], self.logits(x))
 
     def backward(self, d_out, caches):
         """Returns (d_x, grads) with grads aligned with parameters()."""

@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 MAGIC = b"LANN1"
+_U64 = struct.Struct("<Q")
 
 
 class ContainerError(ValueError):
@@ -34,33 +35,37 @@ def write_tensors(f, tensors):
         f.write(arr.tobytes(order="C"))
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise ContainerError(f"truncated container while reading {what}")
-    return data
-
-
 def read_tensors(f):
-    """Read a container from an open binary file object."""
-    magic = f.read(len(MAGIC))
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    """Read a container from an open binary file object. Every length in the
+    file is checked against the bytes left before it is used, so a corrupt
+    header raises ContainerError."""
+    raw = memoryview(f.read())
+    if raw[: len(MAGIC)] != MAGIC:
+        raise ContainerError(f"bad magic {bytes(raw[:len(MAGIC)])!r}, expected {MAGIC!r}")
+    pos = len(MAGIC)
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise ContainerError(f"truncated container while reading {what}")
+        pos += n
+        return raw[pos - n : pos]
+
     tensors = {}
-    while True:
-        head = f.read(8)
-        if head == b"":
-            break
-        if len(head) != 8:
-            raise ContainerError("truncated container while reading name length")
-        (name_len,) = struct.unpack("<Q", head)
-        name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
-        dims = tuple(struct.unpack("<Q", _read_exact(f, 8, "dims"))[0] for _ in range(rank))
+    while pos < len(raw):
+        (name_len,) = _U64.unpack(take(8, "name length"))
+        try:
+            name = bytes(take(name_len, "tensor name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError("tensor name is not valid utf-8") from None
+        (rank,) = _U64.unpack(take(8, "rank"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
         count = 1
         for dim in dims:
             count *= dim
-        raw = _read_exact(f, count * 8, f"elements of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        raw_elements = take(8 * count, f"elements of {name!r}")
+        try:
+            tensors[name] = np.frombuffer(raw_elements, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:
+            raise ContainerError(f"tensor {name!r} has unusable dims {dims}: {exc}") from None
     return tensors
-

@@ -1,7 +1,9 @@
 """Dense-network numerics: forward passes, losses, reverse-mode gradients,
 optimizer steps and the finite-difference oracle."""
 
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -384,3 +386,18 @@ class TestSerialization:
         path.write_bytes(raw[:-5])
         with open(path, "rb") as f, pytest.raises(ContainerError):
             read_tensors(f)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (struct.pack("<Q", 2**63) + b"w", "tensor name"),
+            (struct.pack("<Q", 1) + b"\xff" + struct.pack("<Q", 0), "utf-8"),
+            (struct.pack("<QsQ", 1, b"w", 2**61), "dims"),
+            (struct.pack("<QsQQQ", 1, b"w", 2, 2**62, 2**62), "elements"),
+            (struct.pack("<QsQQQ", 1, b"w", 2, 0, 2**64 - 1), "unusable dims"),
+        ],
+        ids=["name-length", "name-utf8", "rank", "element-count", "zero-size-huge-dim"],
+    )
+    def test_corrupt_header_raises_container_error(self, header, message):
+        with pytest.raises(ContainerError, match=message):
+            read_tensors(io.BytesIO(b"LANN1" + header + b"\x00" * 16))

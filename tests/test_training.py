@@ -20,7 +20,7 @@ from latent_anon.models import (
     train_classifier,
     train_vae,
 )
-from latent_anon.models import persist
+from latent_anon.models import VaeModel, persist
 from latent_anon.nn import ContainerError
 
 
@@ -248,3 +248,31 @@ class TestPersistence:
             path.write_bytes(head + blob + tensors)
         with pytest.raises(ContainerError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Classifier(4, 2, "private", hidden=(3,), rng=np.random.default_rng(0)),
+            VaeModel(4, 2, 2, public_class=1, hidden=(3,), rng=np.random.default_rng(0)),
+        ],
+        ids=["classifier", "vae"],
+    )
+    def test_bare_file_byte_flips_raise_container_error(self, tmp_path, model):
+        # a bare (pre-frame) model file has no checksum: a flip either loads
+        # or fails with the named error, never with another exception
+        path = tmp_path / "model.lann"
+        save_model(path, model, training_seed=3)
+        bare = path.read_bytes()[len(persist.MAGIC) + 1 : -4]
+        escaped = []
+        for pos in range(len(bare)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(bare)
+                flipped[pos] ^= mask
+                path.write_bytes(bytes(flipped))
+                try:
+                    load_model(path)
+                except ContainerError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected for the report
+                    escaped.append((pos, mask, type(exc).__name__, str(exc)[:60]))
+        assert escaped == []
