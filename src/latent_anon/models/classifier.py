@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..nn.layers import MLP, as_batch
+from ..nn.layers import MLP, as_batch, flatten_parameters
 from ..nn.losses import as_labels, cross_entropy_from_labels
 
 
@@ -16,6 +16,9 @@ class Classifier:
     monotone, so this is the argmax of predict_proba wherever the top two
     probabilities differ in float64, and at an exact tie of the
     probabilities the larger logit wins.
+
+    parameter_vector holds every parameter, in parameters() order; each
+    layer's W and b are views into it.
     """
 
     def __init__(self, input_dim, n_classes, attribute="public", hidden=(64, 32), rng=None):
@@ -33,6 +36,7 @@ class Classifier:
             ["relu"] * len(hidden) + ["softmax"],
             rng,
         )
+        self.parameter_vector = flatten_parameters(self.mlp.layers)
 
     def parameters(self):
         return self.mlp.parameters()
@@ -63,15 +67,18 @@ class Classifier:
         return int(np.argmax(logits[0])) if single else np.argmax(logits, axis=-1)
 
     def loss_and_gradients(self, x, labels):
-        """Summed cross entropy over the batch plus gradients aligned with parameters()."""
+        """Summed cross entropy over the batch plus gradients aligned with
+        parameters(); the gradient w.r.t. the input rows is not computed."""
         y = as_labels(labels)
         probs, caches = self.mlp.forward(x)
         ce = cross_entropy_from_labels(probs, y)
         g = probs.copy()
         g[np.arange(y.size), y] -= 1.0
-        d, d_w, d_b = self.mlp.layers[-1].backward_preactivation(g, caches[-1])
+        layers = self.mlp.layers
+        last = len(layers) - 1
+        d, d_w, d_b = layers[last].backward_preactivation(g, caches[last], last > 0)
         grads = [d_w, d_b]
-        for layer, cache in zip(reversed(self.mlp.layers[:-1]), reversed(caches[:-1])):
-            d, d_w, d_b = layer.backward(d, cache)
+        for k in reversed(range(last)):
+            d, d_w, d_b = layers[k].backward(d, caches[k], k > 0)
             grads[:0] = (d_w, d_b)
         return float(ce.sum()), grads

@@ -1,6 +1,7 @@
 """Training loops. All randomness flows from the config seed, so a fixed seed
 reproduces models bit for bit."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,12 +23,23 @@ class TrainConfig:
     latent_dim: int = 8
     hidden: tuple = (64, 32)
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
 
 
 def _stack(embeddings, attribute):
     x = np.stack([e.x for e in embeddings]).astype(float)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"embedding {int(np.argmin(finite))} has a non-finite value")
     if attribute == "public":
         labels = [e.true_public for e in embeddings]
     else:
@@ -42,10 +54,14 @@ def derive_seed(*tags):
     return int(np.random.SeedSequence([int(t) for t in tags]).generate_state(1)[0])
 
 
-def _fit(params, loss_and_grads, n, config, rng):
+def _fit(model, loss_and_grads, n, config, rng):
     """Minibatch Adam over n rows. loss_and_grads(idx) returns the summed loss
-    and the gradients of the rows idx. Returns the mean per-row loss of each
-    epoch; zero epochs leave params untouched."""
+    and the gradients of the rows idx, aligned with model.parameters(); they
+    are gathered into one flat gradient, and one Adam step updates the model's
+    parameter_vector. Returns the mean per-row loss of each epoch; zero epochs
+    leave the parameters untouched."""
+    params = [model.parameter_vector]
+    flat_grad = np.empty_like(model.parameter_vector)
     opt = Adam(learning_rate=config.learning_rate)
     history = []
     for _ in range(config.epochs):
@@ -53,7 +69,8 @@ def _fit(params, loss_and_grads, n, config, rng):
         epoch_total = 0.0
         for start in range(0, n, config.batch_size):
             loss, grads = loss_and_grads(perm[start : start + config.batch_size])
-            opt.step(params, grads)
+            np.concatenate([g.ravel() for g in grads], out=flat_grad)
+            opt.step(params, [flat_grad])
             epoch_total += loss
         history.append(epoch_total / n)
     return history
@@ -96,7 +113,7 @@ def train_vae(embeddings, config, n_private):
         )
         return breakdown.total, grads
 
-    return model, _fit(model.parameters(), loss_and_grads, x.shape[0], config, rng)
+    return model, _fit(model, loss_and_grads, x.shape[0], config, rng)
 
 
 def train_classifier(embeddings, attribute, config, n_classes):
@@ -111,7 +128,7 @@ def train_classifier(embeddings, attribute, config, n_classes):
     rng = np.random.default_rng(config.seed)
     model = Classifier(x.shape[1], c, attribute=attribute, hidden=config.hidden, rng=rng)
     loss_and_grads = lambda idx: model.loss_and_gradients(x[idx], y[idx])
-    return model, _fit(model.parameters(), loss_and_grads, x.shape[0], config, rng)
+    return model, _fit(model, loss_and_grads, x.shape[0], config, rng)
 
 
 def evaluate_accuracy(model, embeddings, attribute):

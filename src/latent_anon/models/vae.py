@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import MLP, Dense, as_batch, check_batch
+from ..nn.layers import MLP, Dense, as_batch, check_batch, flatten_parameters
 from ..nn.losses import as_labels, cross_entropy_from_labels, squared_error
 
 
@@ -75,7 +75,8 @@ class VaeModel:
 
     encode, decode and classify_latent run the cacheless inference pass
     (MLP.infer, Dense.infer), bitwise equal to forward; loss_and_gradients
-    runs forward with its caches.
+    runs forward with its caches. parameter_vector holds every parameter, in
+    parameters() order; each layer's W and b are views into it.
     """
 
     def __init__(
@@ -110,15 +111,19 @@ class VaeModel:
             rng,
         )
         self.class_head = Dense(latent_dim, n_private, "softmax", rng)
+        self.parameter_vector = flatten_parameters(self._layers())
+
+    def _layers(self):
+        return [
+            *self.encoder.layers,
+            self.mu_head,
+            self.logvar_head,
+            *self.decoder.layers,
+            self.class_head,
+        ]
 
     def parameters(self):
-        return (
-            self.encoder.parameters()
-            + self.mu_head.parameters()
-            + self.logvar_head.parameters()
-            + self.decoder.parameters()
-            + self.class_head.parameters()
-        )
+        return [p for layer in self._layers() for p in layer.parameters()]
 
     def named_tensors(self):
         out = {}
@@ -213,7 +218,7 @@ def loss_and_gradients(model, x, labels, alpha, beta, noise):
     d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, mu_cache)
     d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, lv_cache)
     d_h = d_h + d_h_lv
-    _, enc_grads = model.encoder.backward(d_h, enc_caches)
+    _, enc_grads = model.encoder.backward(d_h, enc_caches, input_grad=False)
     # same order as VaeModel.parameters()
     grads = enc_grads + [d_w_mu, d_b_mu, d_w_lv, d_b_lv] + dec_grads + [d_w_cls, d_b_cls]
     return breakdown, grads

@@ -11,6 +11,12 @@ the layer with no cache and no checks, and MLP.logits checks the (B, n_0)
 batch once at its boundary, then returns the last layer's pre-activation
 (MLP.infer applies the last activation to it). Both run the same arithmetic
 as forward, so their outputs are bitwise equal to forward's.
+
+Each model holds its parameters in one contiguous float64 vector
+(flatten_parameters): every Dense.W and Dense.b is a view into it, in
+parameters() order, so the trainer updates the whole model with one Adam
+step. backward(..., input_grad=False) skips the gradient w.r.t. the layer
+input, d_z @ W, which no trainer needs for a model's first layer.
 """
 
 import numpy as np
@@ -99,22 +105,25 @@ class Dense:
         has checked; no cache."""
         return _activate(self.activation, x @ self.W.T + self.b)
 
-    def backward(self, d_out, cache):
-        """Returns (d_x, d_W, d_b) for the upstream gradient d_out."""
+    def backward(self, d_out, cache, input_grad=True):
+        """Returns (d_x, d_W, d_b) for the upstream gradient d_out; d_x is
+        None when input_grad is False."""
         _, z, y = cache
         _check_grad(d_out, z)
         d_z = _activation_backward(self.activation, z, y, d_out)
-        return self.backward_preactivation(d_z, cache)
+        return self.backward_preactivation(d_z, cache, input_grad)
 
-    def backward_preactivation(self, d_z, cache):
-        """Returns (d_x, d_W, d_b) for a gradient w.r.t. the pre-activation z.
+    def backward_preactivation(self, d_z, cache, input_grad=True):
+        """Returns (d_x, d_W, d_b) for a gradient w.r.t. the pre-activation z;
+        d_x is None when input_grad is False.
 
         Used when the activation derivative is fused into the loss gradient
         (softmax + cross entropy).
         """
         x, z, _ = cache
         _check_grad(d_z, z)
-        return d_z @ self.W, d_z.T @ x, d_z.sum(axis=0)
+        d_x = d_z @ self.W if input_grad else None
+        return d_x, d_z.T @ x, d_z.sum(axis=0)
 
     def parameters(self):
         return [self.W, self.b]
@@ -157,14 +166,35 @@ class MLP:
         """forward's output without the caches."""
         return _activate(self.activations[-1], self.logits(x))
 
-    def backward(self, d_out, caches):
-        """Returns (d_x, grads) with grads aligned with parameters()."""
+    def backward(self, d_out, caches, input_grad=True):
+        """Returns (d_x, grads) with grads aligned with parameters(); d_x is
+        None when input_grad is False."""
         grads = []
         d = d_out
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            d, d_w, d_b = layer.backward(d, cache)
+        for k in reversed(range(len(self.layers))):
+            d, d_w, d_b = self.layers[k].backward(d, caches[k], input_grad or k > 0)
             grads[:0] = (d_w, d_b)
         return d, grads
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
+
+
+def flatten_parameters(layers):
+    """Move the W and b of every Dense layer, in order, into one contiguous
+    float64 vector and rebind them as views into it. Returns the vector;
+    parameter values are unchanged. The vector starts on a 64-byte boundary,
+    so wide SIMD loads of the weight matrices do not straddle cache lines."""
+    params = [p.ravel() for layer in layers for p in layer.parameters()]
+    n = sum(p.size for p in params)
+    buffer = np.empty(n + 8)
+    start = (-buffer.ctypes.data % 64) // 8
+    flat = buffer[start : start + n]
+    np.concatenate(params, out=flat)
+    offset = 0
+    for layer in layers:
+        layer.W = flat[offset : offset + layer.W.size].reshape(layer.W.shape)
+        offset += layer.W.size
+        layer.b = flat[offset : offset + layer.b.size]
+        offset += layer.b.size
+    return flat
