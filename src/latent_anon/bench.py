@@ -9,7 +9,7 @@ deliberately stricter than comparing averages.
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -48,25 +48,32 @@ class StageStats:
 
 @dataclass
 class TimingReport:
+    """Stage and total statistics of a benchmark run. residual_s holds, per
+    timed call, its total minus the sum of its own stage samples; it feeds
+    decomposition_gap and is left out of to_json."""
+
     stages: dict
     total: StageStats
     n_embeddings: int
     repetitions: int
-
-    def stage_p50_sum_s(self):
-        return sum(s.p50_s for s in self.stages.values())
+    residual_s: list = field(default_factory=list, repr=False)
 
     def decomposition_gap(self):
-        """Relative gap between the median total and the summed stage medians.
+        """The median per-call residual over the median total: the share of
+        a call's time that falls outside every stage window.
 
-        Medians isolate the systematic orchestration overhead from rare
-        scheduler stalls, which would otherwise land in the total but not in
-        any stage window.
+        Each call's total is paired with its own stage samples, so a host
+        that changes speed mid-run moves both sides of a pair together,
+        while untimed work between the stage windows lands in every pair.
         """
-        return abs(self.total.p50_s - self.stage_p50_sum_s()) / self.total.p50_s
+        if not self.residual_s:
+            raise ValueError("the report holds no per-call residuals")
+        return abs(float(np.median(self.residual_s))) / self.total.p50_s
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        payload = asdict(self)
+        del payload["residual_s"]
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_table(self):
         header = f"{'Model':<24}{'Batch':>6}  {'Type':<6}{'nb. Embeddings':>15}{'Time (s)':>12}{'Time/Embedding (s)':>21}"
@@ -114,6 +121,7 @@ def benchmark_pipeline(
     Warmup iterations are excluded. Stage samples come from clocks inside the
     pipeline; the per-embedding total is clocked around the whole call, so it
     additionally contains record assembly and the timing overhead itself.
+    What each call spends outside its stage windows is kept as residual_s.
     """
     xs = [e.x if hasattr(e, "x") else np.asarray(e, dtype=float) for e in embeddings]
     if not xs:
@@ -130,11 +138,13 @@ def benchmark_pipeline(
                 anonymize_embedding(x, registry, noise_rng=noise_rng, timings=timings)
                 totals.append(perf_counter() - t0)
 
+    residuals = np.asarray(totals) - sum(np.asarray(timings.samples[name]) for name in STAGES)
     return TimingReport(
         stages={name: StageStats.from_samples(timings.samples[name]) for name in STAGES},
         total=StageStats.from_samples(totals),
         n_embeddings=len(xs),
         repetitions=repetitions,
+        residual_s=residuals.tolist(),
     )
 
 

@@ -1,5 +1,7 @@
 """MLP attribute classifiers used both for evaluation and inside the pipeline."""
 
+import math
+
 import numpy as np
 
 from ..nn.layers import MLP, as_batch, flatten_parameters
@@ -62,9 +64,12 @@ class Classifier:
         logits = self.mlp.logits(xb)
         if logits.size == 0:
             raise ValueError("predict of an empty batch")
-        if not np.isfinite(logits).all():
+        # one reduction: the sum is finite only if every logit is; a finite
+        # sum that overflows gets the exact check
+        if not math.isfinite(logits.sum()) and not np.isfinite(logits).all():
             raise ValueError("predict requires finite logits")
-        return int(np.argmax(logits[0])) if single else np.argmax(logits, axis=-1)
+        labels = logits.argmax(axis=-1)
+        return int(labels[0]) if single else labels
 
     def loss_and_gradients(self, x, labels):
         """Summed cross entropy over the batch plus gradients aligned with

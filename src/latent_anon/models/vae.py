@@ -42,11 +42,17 @@ class LossBreakdown:
 
 
 def sample_latent(dist, noise):
-    """Reparameterized sample: z = mu + exp(logvar / 2) * noise."""
+    """Reparameterized sample: z = mu + exp(logvar / 2) * noise, computed in
+    one new buffer (IEEE addition commutes, so adding mu last is bitwise
+    the same)."""
     noise = np.asarray(noise, dtype=float)
     if noise.shape != np.shape(dist.mu):
         raise ValueError(f"noise shape {noise.shape} does not match mu {np.shape(dist.mu)}")
-    return dist.mu + np.exp(0.5 * dist.logvar) * noise
+    z = np.multiply(0.5, dist.logvar, out=np.empty(noise.shape))
+    np.exp(z, out=z)
+    z *= noise
+    z += dist.mu
+    return z
 
 
 def kl_gaussian(dist):

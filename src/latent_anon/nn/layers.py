@@ -9,8 +9,9 @@ threads.
 Training uses forward. Inference uses the cacheless pass: Dense.infer applies
 the layer with no cache and no checks, and MLP.logits checks the (B, n_0)
 batch once at its boundary, then returns the last layer's pre-activation
-(MLP.infer applies the last activation to it). Both run the same arithmetic
-as forward, so their outputs are bitwise equal to forward's.
+(MLP.infer applies the last activation to it). Both add the bias and apply
+tanh/relu in place, so each layer allocates one array; they run the same
+operations as forward, so their outputs are bitwise equal to forward's.
 
 Each model holds its parameters in one contiguous float64 vector
 (flatten_parameters): every Dense.W and Dense.b is a view into it, in
@@ -36,6 +37,15 @@ def _activate(name, z):
     if name == "softmax":
         return softmax(z, axis=-1)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def _activate_inplace(name, z):
+    """_activate(name, z), written into z where the activation allows."""
+    if name == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if name == "tanh":
+        return np.tanh(z, out=z)
+    return _activate(name, z)
 
 
 def _activation_backward(name, z, y, d_y):
@@ -102,8 +112,11 @@ class Dense:
 
     def infer(self, x):
         """activation(x @ W.T + b) for a float (B, n_in) batch the caller
-        has checked; no cache."""
-        return _activate(self.activation, x @ self.W.T + self.b)
+        has checked; no cache. The bias and the activation are applied in
+        place, into the product."""
+        z = x @ self.W.T
+        z += self.b
+        return _activate_inplace(self.activation, z)
 
     def backward(self, d_out, cache, input_grad=True):
         """Returns (d_x, d_W, d_b) for the upstream gradient d_out; d_x is
@@ -160,7 +173,9 @@ class MLP:
         for layer in self.layers[:-1]:
             x = layer.infer(x)
         last = self.layers[-1]
-        return x @ last.W.T + last.b
+        z = x @ last.W.T
+        z += last.b
+        return z
 
     def infer(self, x):
         """forward's output without the caches."""

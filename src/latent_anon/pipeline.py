@@ -26,6 +26,8 @@ from .transform import SecureCoin, apply_transfer, compute_mean_table
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
 _DEFAULT_RNG = np.random.default_rng()
+# stateless: every flip draws from the OS CSPRNG, so one instance serves all calls
+_SECURE_COIN = SecureCoin()
 
 
 class PipelineError(RuntimeError):
@@ -150,10 +152,14 @@ def anonymize_embedding(
 
     t0 = perf_counter() if timed else 0.0
     if registry.policy.mode == "probabilistic" and coin is None:
-        coin = SecureCoin()
+        coin = _SECURE_COIN
     i_prime, applied = registry.policy.modify(i, coin)
     z_hat = apply_transfer(z, registry.mean_table, u, i, i_prime)
-    crc = zlib.crc32(np.ascontiguousarray(z_hat, dtype="<f8").tobytes())
+    crc = zlib.crc32(
+        z_hat
+        if z_hat.dtype == "<f8" and z_hat.flags.c_contiguous
+        else np.ascontiguousarray(z_hat, dtype="<f8")
+    )
     if timed:
         timings.add("transform", perf_counter() - t0)
 
@@ -205,35 +211,60 @@ def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_m
 def anonymize_stream(samples, window, stride, registry, **kwargs):
     """Windowed anonymization over a stream of C-channel sample rows.
 
-    Keeps a ring buffer of the last `window` rows; once full, emits one
-    anonymized embedding every `stride` rows. Yields (x_hat, record) pairs in
-    arrival order. The generator owns the buffer, so each stream has a single
-    writer by construction.
+    Once `window` rows have arrived, emits one anonymized embedding every
+    `stride` rows. Yields (x_hat, record) pairs in arrival order. Rows are
+    appended to a contiguous buffer of window + max(window, stride) rows,
+    so each window is a view into it; when the buffer is full its last
+    window - 1 rows move to the front. The generator owns the buffer, so
+    each stream has a single writer by construction.
+
+    A first row whose width times `window` is not the models' input dim
+    raises PipelineError at once; a failing window raises PipelineError
+    naming its index. Either ends the generator.
     """
     if window < 1 or stride < 1:
         raise ValueError("window and stride must be >= 1")
+    capacity = window + max(window, stride)
     buffer = None
-    n_channels = None
-    pos = 0
+    end = 0
     seen = 0
     index = 0
     for row in samples:
-        row = np.asarray(row, dtype=float).reshape(-1)
-        if n_channels is None:
+        row = np.asarray(row, dtype=float)
+        if row.ndim != 1:
+            row = row.reshape(-1)
+        if buffer is None:
             n_channels = row.size
-            buffer = np.zeros((window, n_channels))
+            dim = registry.public_classifier.input_dim
+            if window * n_channels != dim:
+                raise PipelineError(
+                    f"window {window} x {n_channels} channels = {window * n_channels} "
+                    f"values, the models expect {dim}"
+                )
+            buffer = np.empty((capacity, n_channels))
         elif row.size != n_channels:
             raise PipelineError(
                 f"channel count changed mid-stream: {row.size} after {n_channels}"
             )
-        buffer[pos] = row
-        pos = (pos + 1) % window
+        if end == capacity:
+            buffer[: window - 1] = buffer[capacity - window + 1 :]
+            end = window - 1
+        buffer[end] = row
+        end += 1
         seen += 1
         if seen >= window and (seen - window) % stride == 0:
-            # rows in arrival order: oldest starts at pos once the buffer is full
-            ordered = np.concatenate((buffer[pos:], buffer[:pos])) if pos else buffer
-            yield anonymize_embedding(ordered.reshape(-1), registry, index=index, **kwargs)
+            yield _anonymize_window(buffer[end - window : end].reshape(-1), registry, index, kwargs)
             index += 1
+
+
+def _anonymize_window(x, registry, index, kwargs):
+    """anonymize_embedding on one stream window; a failure names the window.
+    A call of its own, so a paused generator holds no reference to the
+    result it handed out."""
+    try:
+        return anonymize_embedding(x, registry, index=index, **kwargs)
+    except (PipelineError, ValueError) as exc:
+        raise PipelineError(f"window {index}: {exc}") from exc
 
 
 def make_anonymizer(registry, seed=None):

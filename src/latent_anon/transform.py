@@ -128,7 +128,9 @@ def apply_transfer(z, table, u, i, i_prime):
         raise ValueError(f"latent has shape {z.shape}, table expects ({table.latent_dim},)")
     if i_prime == i:
         return z.copy()
-    return z - table.mean(u, i) + table.mean(u, i_prime)
+    z_hat = z - table.mean(u, i)
+    z_hat += table.mean(u, i_prime)
+    return z_hat
 
 
 # --- the Modify function -----------------------------------------------------

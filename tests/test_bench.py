@@ -1,8 +1,6 @@
 """Latency measurement and the real-time budget."""
 
 import json
-from time import perf_counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from latent_anon.bench import (
 )
 from latent_anon.models import VaeModel
 from latent_anon.models.classifier import Classifier
-from latent_anon.pipeline import STAGES, ModelRegistry, StageTimings, anonymize_embedding
+from latent_anon.pipeline import STAGES, ModelRegistry
 from latent_anon.transform import MeanLatentTable, ModifyPolicy
 
 
@@ -112,29 +110,41 @@ class TestBenchmarkPipeline:
             assert stats.p50_s <= stats.p99_s
 
     def test_stage_sum_close_to_total(self):
-        # The timing loop of benchmark_pipeline (100 warmup calls, then three
-        # passes), with the gap paired per embedding: the median of each
-        # embedding's total minus its own stage times, over the median total.
-        # A host that changes speed mid-run moves the median total and the
-        # summed stage medians apart, but not one embedding's total and its
-        # stages, which are timed together; untimed work between the stage
-        # windows still lands in every pair.
+        # decomposition_gap pairs each call's total with its own stage times:
+        # a host that changes speed mid-run moves the median total and the
+        # summed stage medians apart, but not one call's total and its stages,
+        # which are timed together; untimed work between the stage windows
+        # still lands in every pair.
         registry = untrained_registry(dim=384)
         rng = np.random.default_rng(5)
         embeddings = list(rng.standard_normal((200, 384)))
-        noise_rng = np.random.default_rng(0)
-        for x in embeddings[:100]:
-            anonymize_embedding(x, registry, noise_rng=noise_rng)
-        timings = StageTimings()
-        totals = []
-        for _ in range(3):
-            for x in embeddings:
-                t0 = perf_counter()
-                anonymize_embedding(x, registry, noise_rng=noise_rng, timings=timings)
-                totals.append(perf_counter() - t0)
-        totals = np.array(totals)
-        untimed = totals - sum(np.array(timings.samples[name]) for name in STAGES)
-        assert abs(np.median(untimed)) / np.median(totals) < 0.10
+        report = benchmark_pipeline(registry, embeddings, warmup=100, repetitions=3, pin_core=False)
+        assert len(report.residual_s) == report.total.count == 600
+        assert report.decomposition_gap() < 0.10
+
+    def test_decomposition_gap_is_the_paired_median(self):
+        stats = StageStats(3, 3.0, 1.0, 1.0, 1.5)
+        report = TimingReport(
+            stages={"encode": StageStats(3, 2.0, 0.5, 0.25, 1.0)},
+            total=stats,
+            n_embeddings=3,
+            repetitions=1,
+            residual_s=[0.5, -0.25, 0.125],
+        )
+        assert report.decomposition_gap() == 0.125
+        report.residual_s = [-0.5, -0.25, 0.125]
+        assert report.decomposition_gap() == 0.25
+        with pytest.raises(ValueError, match="residuals"):
+            TimingReport(stages={}, total=stats, n_embeddings=3, repetitions=1).decomposition_gap()
+
+    def test_residuals_stay_out_of_the_json(self):
+        registry = untrained_registry()
+        rng = np.random.default_rng(8)
+        report = benchmark_pipeline(
+            registry, list(rng.standard_normal((4, 48))), warmup=0, repetitions=2, pin_core=False
+        )
+        assert len(report.residual_s) == 8
+        assert "residual_s" not in json.loads(report.to_json())
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,26 @@ class TestAnonymize:
         produced = (out / "anonymized.txt").read_text().strip().splitlines()
         assert len(produced) == 3  # offsets 0, 16, 32
         assert len(produced[0].split()) == 64
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lines, expected",
+        [
+            (["0.1 0.2 0.3"] * 40, r"error: window 32 x 3 channels = 96 values, the models expect 64"),
+            (["0.1 0.2"] * 20 + ["nan 0.2"] + ["0.1 0.2"] * 19, r"error: window 0: .*finite logits"),
+        ],
+    )
+    def test_stream_errors_name_the_window(self, workspace, tmp_path, capsys, lines, expected):
+        samples = tmp_path / "bad.txt"
+        samples.write_text("\n".join(lines) + "\n")
+        code = main([
+            "anonymize", "--archive", str(samples), "--stream",
+            "--window", "32", "--stride", "16",
+            "--models", str(workspace["models"]), "--table", str(workspace["table"]),
+            "--mode", "det", "--seed", "3", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert re.search(expected, capsys.readouterr().err)
 
 
 class TestEvalAttackBench:

@@ -252,6 +252,28 @@ class TestAnonymizeStream:
         with pytest.raises(PipelineError, match="channel count"):
             list(anonymize_stream(rows, 2, 1, registry, noise_rng=np.random.default_rng(0)))
 
+    def test_wrong_width_fails_at_the_first_row(self):
+        registry = passthrough_registry(dim=24)
+
+        def rows():
+            yield np.zeros(2)
+            raise AssertionError("read past the first row")
+
+        with pytest.raises(PipelineError, match=r"window 8 x 2 channels = 16 .* expect 24"):
+            next(anonymize_stream(rows(), 8, 4, registry))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failing_window_is_named_and_ends_the_stream(self):
+        registry = passthrough_registry(dim=6)
+        registry.public_classifier = Classifier(6, 1, "public", rng=np.random.default_rng(0))
+        rows = self.rows(10, channels=2)
+        rows[5][1] = np.nan  # in windows 3, 4 and 5 of window 3, stride 1
+        gen = anonymize_stream(rows, 3, 1, registry, noise_rng=np.random.default_rng(0))
+        assert [record.index for _, record in (next(gen) for _ in range(3))] == [0, 1, 2]
+        with pytest.raises(PipelineError, match=r"^window 3: .*finite logits"):
+            next(gen)
+        assert list(gen) == []
+
     def test_no_reordering(self):
         # the first window must contain the first W rows in arrival order
         registry = passthrough_registry(dim=6)
