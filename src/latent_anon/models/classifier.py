@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from ..nn.layers import MLP, as_batch, flatten_parameters
-from ..nn.losses import as_labels, cross_entropy_from_labels
+from ..nn.layers import MLP, ChainWorkspace, as_batch, check_batch, flatten_parameters, layer_views
+from ..nn.losses import as_labels, labels_in_range
 
 
 class Classifier:
@@ -13,7 +13,7 @@ class Classifier:
 
     attribute is "public" or "private"; it is metadata only, the math does
     not depend on it. Inference runs the cacheless pass (MLP.logits and
-    MLP.infer); training runs forward with its caches. predict takes the
+    MLP.infer); training runs a ChainWorkspace. predict takes the
     argmax of the logits after checking they are finite: softmax is
     monotone, so this is the argmax of predict_proba wherever the top two
     probabilities differ in float64, and at an exact tie of the
@@ -71,19 +71,40 @@ class Classifier:
         labels = logits.argmax(axis=-1)
         return int(labels[0]) if single else labels
 
-    def loss_and_gradients(self, x, labels):
+    def loss_and_gradients(self, x, labels, workspace=None):
         """Summed cross entropy over the batch plus gradients aligned with
-        parameters(); the gradient w.r.t. the input rows is not computed."""
+        parameters(); the gradient w.r.t. the input rows is not computed.
+
+        workspace, a ClassifierWorkspace of this model for the batch size,
+        holds every intermediate array, and the returned gradients are views
+        of its flat gradient, overwritten by its next use. Without one the
+        call builds its own, so the gradients are fresh arrays.
+        """
         y = as_labels(labels)
-        probs, caches = self.mlp.forward(x)
-        ce = cross_entropy_from_labels(probs, y)
-        g = probs.copy()
-        g[np.arange(y.size), y] -= 1.0
-        layers = self.mlp.layers
-        last = len(layers) - 1
-        d, d_w, d_b = layers[last].backward_preactivation(g, caches[last], last > 0)
-        grads = [d_w, d_b]
-        for k in reversed(range(last)):
-            d, d_w, d_b = layers[k].backward(d, caches[k], k > 0)
-            grads[:0] = (d_w, d_b)
-        return float(ce.sum()), grads
+        x = check_batch(x, self.input_dim)
+        ws = ClassifierWorkspace(self, x.shape[0]) if workspace is None else workspace
+        if ws.x.shape != x.shape:
+            raise ValueError(f"workspace for batch {ws.x.shape} used for {x.shape}")
+        ws.chain.forward(x)
+        if y.shape != (x.shape[0],):
+            raise ValueError("expected (B, M) probs and (B,) labels")
+        if not labels_in_range(y, self.n_classes):
+            raise ValueError(f"label out of range [0, {self.n_classes})")
+        loss = ws.chain.cross_entropy(y)
+        ws.chain.backward(ws.chain.outputs[-1])
+        return loss, ws.gradients
+
+
+class ClassifierWorkspace:
+    """Every array of one Classifier.loss_and_gradients pass at batch size
+    batch: the layer workspace, x and labels for the caller to fill with the
+    batch, and grad, the flat gradient in parameter_vector's layout (shared
+    by a training call's workspaces when given) that gradients views."""
+
+    def __init__(self, model, batch, grad=None):
+        self.grad = np.empty(model.parameter_vector.size) if grad is None else grad
+        views = layer_views(model.mlp.layers, self.grad)
+        self.gradients = [g for pair in views for g in pair]
+        self.chain = ChainWorkspace(model.mlp.layers, batch, views)
+        self.x = np.empty((batch, model.input_dim))
+        self.labels = np.empty(batch, dtype=np.intp)

@@ -2,14 +2,15 @@
 reproduces models bit for bit."""
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..nn.losses import as_labels
 from ..nn.optim import Adam
-from .classifier import Classifier
-from .vae import VaeModel, loss_and_gradients
+from .classifier import Classifier, ClassifierWorkspace
+from .vae import VaeModel, VaeWorkspace, loss_and_gradients
 
 
 @dataclass
@@ -24,12 +25,25 @@ class TrainConfig:
     hidden: tuple = (64, 32)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # runs on replace() too, so every derived config is checked
+        for name, low in (("epochs", 0), ("batch_size", 1), ("latent_dim", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (
+            isinstance(self.hidden, tuple)
+            and all(isinstance(h, numbers.Integral) and h >= 1 for h in self.hidden)
+        ):
+            raise ValueError(f"hidden must be a tuple of integers >= 1, got {self.hidden!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        # 0 switches a term off; a negative weight would train the negated term
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
@@ -54,26 +68,44 @@ def derive_seed(*tags):
     return int(np.random.SeedSequence([int(t) for t in tags]).generate_state(1)[0])
 
 
-def _fit(model, loss_and_grads, n, config, rng):
-    """Minibatch Adam over n rows. loss_and_grads(idx) returns the summed loss
-    and the gradients of the rows idx, aligned with model.parameters(); they
-    are gathered into one flat gradient, and one Adam step updates the model's
+def _fit(model, step, n, config, rng):
+    """Minibatch Adam over n rows. step(idx, grad) writes the gradient of the
+    rows idx into grad, a flat vector in parameter_vector's layout, and
+    returns their summed loss; one Adam step then updates the model's
     parameter_vector. Returns the mean per-row loss of each epoch; zero epochs
     leave the parameters untouched."""
     params = [model.parameter_vector]
-    flat_grad = np.empty_like(model.parameter_vector)
+    grads = [np.empty_like(model.parameter_vector)]
     opt = Adam(learning_rate=config.learning_rate)
     history = []
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         epoch_total = 0.0
         for start in range(0, n, config.batch_size):
-            loss, grads = loss_and_grads(perm[start : start + config.batch_size])
-            np.concatenate([g.ravel() for g in grads], out=flat_grad)
-            opt.step(params, [flat_grad])
-            epoch_total += loss
+            epoch_total += step(perm[start : start + config.batch_size], grads[0])
+            opt.step(params, grads)
         history.append(epoch_total / n)
     return history
+
+
+def _batch_step(x, y, make_workspace, loss):
+    """A step for _fit: gathers the rows idx of x and y into the workspace
+    for their batch size and returns loss(workspace). make_workspace(batch,
+    grad) builds a workspace on a size's first use; one training call sees
+    at most two sizes, the full batch and the last one, and its workspaces
+    die with it."""
+    workspaces = {}
+
+    def step(idx, grad):
+        ws = workspaces.get(idx.size)
+        if ws is None:
+            ws = workspaces[idx.size] = make_workspace(idx.size, grad)
+        # idx is a slice of a permutation of the rows, so always in range
+        x.take(idx, axis=0, out=ws.x, mode="clip")
+        y.take(idx, out=ws.labels, mode="clip")
+        return loss(ws)
+
+    return step
 
 
 def train_vae(embeddings, config, n_private):
@@ -105,15 +137,16 @@ def train_vae(embeddings, config, n_private):
         beta=config.beta,
     )
 
-    def loss_and_grads(idx):
+    def loss(ws):
         # the noise is drawn after the epoch's permutation, batch by batch
-        noise = rng.standard_normal((idx.size, config.latent_dim))
-        breakdown, grads = loss_and_gradients(
-            model, x[idx], y[idx], config.alpha, config.beta, noise
+        rng.standard_normal(out=ws.noise)
+        breakdown, _ = loss_and_gradients(
+            model, ws.x, ws.labels, config.alpha, config.beta, ws.noise, ws
         )
-        return breakdown.total, grads
+        return breakdown.total
 
-    return model, _fit(model, loss_and_grads, x.shape[0], config, rng)
+    step = _batch_step(x, y, lambda batch, grad: VaeWorkspace(model, batch, grad), loss)
+    return model, _fit(model, step, x.shape[0], config, rng)
 
 
 def train_classifier(embeddings, attribute, config, n_classes):
@@ -127,8 +160,13 @@ def train_classifier(embeddings, attribute, config, n_classes):
 
     rng = np.random.default_rng(config.seed)
     model = Classifier(x.shape[1], c, attribute=attribute, hidden=config.hidden, rng=rng)
-    loss_and_grads = lambda idx: model.loss_and_gradients(x[idx], y[idx])
-    return model, _fit(model, loss_and_grads, x.shape[0], config, rng)
+    step = _batch_step(
+        x,
+        y,
+        lambda batch, grad: ClassifierWorkspace(model, batch, grad),
+        lambda ws: model.loss_and_gradients(ws.x, ws.labels, ws)[0],
+    )
+    return model, _fit(model, step, x.shape[0], config, rng)
 
 
 def evaluate_accuracy(model, embeddings, attribute):

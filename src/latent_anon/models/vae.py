@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import MLP, Dense, as_batch, check_batch, flatten_parameters
-from ..nn.losses import as_labels, cross_entropy_from_labels, squared_error
+from ..nn.layers import (
+    MLP,
+    ChainWorkspace,
+    Dense,
+    as_batch,
+    check_batch,
+    flatten_parameters,
+    layer_views,
+)
+from ..nn.losses import as_labels, labels_in_range, squared_error
 
 
 @dataclass
@@ -81,7 +89,7 @@ class VaeModel:
 
     encode, decode and classify_latent run the cacheless inference pass
     (MLP.infer, Dense.infer), bitwise equal to forward; loss_and_gradients
-    runs forward with its caches. parameter_vector holds every parameter, in
+    runs a VaeWorkspace. parameter_vector holds every parameter, in
     parameters() order; each layer's W and b are views into it.
     """
 
@@ -169,7 +177,36 @@ class VaeModel:
         return probs[0] if single else probs
 
 
-def loss_and_gradients(model, x, labels, alpha, beta, noise):
+class VaeWorkspace:
+    """Every array of one loss_and_gradients pass at batch size batch: a
+    layer workspace per part (encoder, the two heads, decoder, class head),
+    the latent-sized and row-sized intermediates, x, labels and noise for
+    the caller to fill with the batch, and grad, the flat gradient in
+    parameter_vector's layout (shared by a training call's workspaces when
+    given) that gradients views."""
+
+    def __init__(self, model, batch, grad=None):
+        self.grad = np.empty(model.parameter_vector.size) if grad is None else grad
+        views = layer_views(model._layers(), self.grad)
+        self.gradients = [g for pair in views for g in pair]
+        n_enc = len(model.encoder.layers)
+        self.encoder = ChainWorkspace(model.encoder.layers, batch, views[:n_enc])
+        self.mu_head = ChainWorkspace([model.mu_head], batch, views[n_enc : n_enc + 1])
+        self.logvar_head = ChainWorkspace([model.logvar_head], batch, views[n_enc + 1 : n_enc + 2])
+        self.decoder = ChainWorkspace(model.decoder.layers, batch, views[n_enc + 2 : -1])
+        self.class_head = ChainWorkspace([model.class_head], batch, views[-1:])
+        self.x = np.empty((batch, model.input_dim))
+        self.labels = np.empty(batch, dtype=np.intp)
+        latent = (batch, model.latent_dim)
+        (
+            self.noise, self.sigma, self.z, self.exp_logvar,
+            self.d_mu, self.d_logvar, self.scratch, self.mu_squared,
+        ) = (np.empty(latent) for _ in range(8))
+        self.squares = np.empty((batch, model.input_dim))
+        self.row = np.empty(batch)
+
+
+def loss_and_gradients(model, x, labels, alpha, beta, noise, workspace=None):
     """Batch loss summed over items, recon + beta * KL + alpha * head cross
     entropy, as a LossBreakdown plus gradients aligned with model.parameters().
 
@@ -178,6 +215,12 @@ def loss_and_gradients(model, x, labels, alpha, beta, noise):
     sweep is hand-orchestrated: the latent gradient collects the decoder
     branch and the alpha-weighted classification branch, then flows into mu
     and logvar together with the beta-weighted KL terms.
+
+    workspace, a VaeWorkspace of this model for the batch size, holds every
+    intermediate array, and the returned gradients are views of its flat
+    gradient, overwritten by its next use. Without one the call builds its
+    own, so the gradients are fresh arrays. Each value is computed by the
+    operations of the textbook formulas, in their order.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -185,23 +228,44 @@ def loss_and_gradients(model, x, labels, alpha, beta, noise):
     y = as_labels(labels)
     if y.shape != (x.shape[0],):
         raise ValueError(f"expected {x.shape[0]} labels, got shape {y.shape}")
-    if y.min() < 0 or y.max() >= model.n_private:
+    if not labels_in_range(y, model.n_private):
         raise ValueError(f"private label out of range [0, {model.n_private})")
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (x.shape[0], model.latent_dim):
         raise ValueError(f"noise shape {noise.shape} does not match (batch, latent_dim)")
+    check_batch(x, model.input_dim)
+    ws = VaeWorkspace(model, x.shape[0]) if workspace is None else workspace
+    if ws.x.shape != x.shape:
+        raise ValueError(f"workspace for batch {ws.x.shape} used for {x.shape}")
 
-    h, enc_caches = model.encoder.forward(x)
-    mu, mu_cache = model.mu_head.forward(h)
-    logvar, lv_cache = model.logvar_head.forward(h)
-    sigma = np.exp(0.5 * logvar)
-    z = mu + sigma * noise
-    x_hat, dec_caches = model.decoder.forward(z)
-    probs, cls_cache = model.class_head.forward(z)
+    h = ws.encoder.forward(x)
+    mu = ws.mu_head.forward(h)
+    logvar = ws.logvar_head.forward(h)
+    # z = mu + exp(0.5 * logvar) * noise
+    sigma = np.multiply(0.5, logvar, out=ws.sigma)
+    np.exp(sigma, out=sigma)
+    z = np.multiply(sigma, noise, out=ws.z)
+    z += mu
+    x_hat = ws.decoder.forward(z)
+    ws.class_head.forward(z)
 
-    recon = float(squared_error(x, x_hat).sum())
-    kl = float(kl_gaussian(LatentDistribution(mu, logvar)).sum())
-    ce = float(cross_entropy_from_labels(probs, y).sum())
+    # reconstruction: sum over rows of 0.5 * sum_d (x_hat - x)^2; negating
+    # the residual leaves its square unchanged
+    residual = np.subtract(x_hat, x, out=x_hat)
+    np.square(residual, out=ws.squares)
+    row = np.add.reduce(ws.squares, axis=-1, out=ws.row)
+    row *= 0.5
+    recon = float(np.add.reduce(row))
+    # kl_gaussian: -0.5 * sum_j (1 + logvar - exp(logvar) - mu^2), at least 0
+    t = np.add(1.0, logvar, out=ws.scratch)
+    exp_logvar = np.exp(logvar, out=ws.exp_logvar)
+    t -= exp_logvar
+    t -= np.multiply(mu, mu, out=ws.mu_squared)
+    np.add.reduce(t, axis=-1, out=row)
+    np.multiply(-0.5, row, out=row)
+    np.maximum(row, 0.0, out=row)
+    kl = float(np.add.reduce(row))
+    ce = ws.class_head.cross_entropy(y)
     breakdown = LossBreakdown(
         reconstruction=recon,
         kl=kl,
@@ -211,20 +275,23 @@ def loss_and_gradients(model, x, labels, alpha, beta, noise):
         beta=beta,
     )
 
-    d_z, dec_grads = model.decoder.backward(x_hat - x, dec_caches)
+    d_z = ws.decoder.backward(residual, input_grad=True)
     # fused softmax + cross entropy; exact while probs stay above the log floor
-    g = probs.copy()
-    g[np.arange(y.size), y] -= 1.0
+    g = ws.class_head.outputs[-1]
     g *= alpha
-    d_z_cls, d_w_cls, d_b_cls = model.class_head.backward_preactivation(g, cls_cache)
-    d_z = d_z + d_z_cls
+    d_z += ws.class_head.backward(g, input_grad=True)
 
-    d_mu = d_z + beta * mu
-    d_logvar = d_z * noise * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0)
-    d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, mu_cache)
-    d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, lv_cache)
-    d_h = d_h + d_h_lv
-    _, enc_grads = model.encoder.backward(d_h, enc_caches, input_grad=False)
-    # same order as VaeModel.parameters()
-    grads = enc_grads + [d_w_mu, d_b_mu, d_w_lv, d_b_lv] + dec_grads + [d_w_cls, d_b_cls]
-    return breakdown, grads
+    # d_mu = d_z + beta * mu
+    d_mu = np.multiply(beta, mu, out=ws.d_mu)
+    d_mu += d_z
+    # d_logvar = d_z * noise * 0.5 * sigma + beta * 0.5 * (exp(logvar) - 1)
+    d_logvar = np.multiply(d_z, noise, out=ws.d_logvar)
+    d_logvar *= 0.5
+    d_logvar *= sigma
+    t = np.subtract(exp_logvar, 1.0, out=ws.scratch)
+    np.multiply(beta * 0.5, t, out=t)
+    d_logvar += t
+    d_h = ws.mu_head.backward(d_mu, input_grad=True)
+    d_h += ws.logvar_head.backward(d_logvar, input_grad=True)
+    ws.encoder.backward(d_h)
+    return breakdown, ws.gradients

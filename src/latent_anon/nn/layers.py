@@ -18,11 +18,18 @@ Each model holds its parameters in one contiguous float64 vector
 parameters() order, so the trainer updates the whole model with one Adam
 step. backward(..., input_grad=False) skips the gradient w.r.t. the layer
 input, d_z @ W, which no trainer needs for a model's first layer.
+
+The trainers run ChainWorkspace instead of forward/backward: the same
+operations in the same order, so bitwise the same values, written into
+arrays allocated once per (model, batch size) and into (dW, db) views of one
+flat gradient laid out like the parameter vector (layer_views).
 """
+
+import math
 
 import numpy as np
 
-from .losses import softmax
+from .losses import LOG_FLOOR, softmax
 
 ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
 
@@ -46,6 +53,22 @@ def _activate_inplace(name, z):
     if name == "tanh":
         return np.tanh(z, out=z)
     return _activate(name, z)
+
+
+def _activation_backward_inplace(name, y, d, scratch):
+    """_activation_backward for relu or tanh, written into d; scratch is a
+    buffer shaped like y. relu's mask (z > 0) is read from y = max(z, 0),
+    which is positive exactly where z is. identity and softmax leave d as
+    it is: a softmax layer's d is already the fused softmax + cross-entropy
+    gradient w.r.t. its pre-activation."""
+    if name == "relu":
+        np.greater(y, 0.0, out=scratch)
+        d *= scratch
+    elif name == "tanh":
+        np.multiply(y, y, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        d *= scratch
+    return d
 
 
 def _activation_backward(name, z, y, d_y):
@@ -195,6 +218,20 @@ class MLP:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
+def layer_views(layers, flat):
+    """One (W-shaped, b-shaped) pair of views into flat per Dense layer, laid
+    out in parameters() order: the layout of a model's parameter vector and
+    of its flat gradient."""
+    views, offset = [], 0
+    for layer in layers:
+        n_w = layer.n_out * layer.n_in
+        w = flat[offset : offset + n_w].reshape(layer.n_out, layer.n_in)
+        b = flat[offset + n_w : offset + n_w + layer.n_out]
+        views.append((w, b))
+        offset += n_w + layer.n_out
+    return views
+
+
 def flatten_parameters(layers):
     """Move the W and b of every Dense layer, in order, into one contiguous
     float64 vector and rebind them as views into it. Returns the vector;
@@ -206,10 +243,101 @@ def flatten_parameters(layers):
     start = (-buffer.ctypes.data % 64) // 8
     flat = buffer[start : start + n]
     np.concatenate(params, out=flat)
-    offset = 0
-    for layer in layers:
-        layer.W = flat[offset : offset + layer.W.size].reshape(layer.W.shape)
-        offset += layer.W.size
-        layer.b = flat[offset : offset + layer.b.size]
-        offset += layer.b.size
+    for layer, (w, b) in zip(layers, layer_views(layers, flat)):
+        layer.W, layer.b = w, b
     return flat
+
+
+class ChainWorkspace:
+    """Arrays for training passes of a chain of Dense layers at one batch
+    size B: each layer's output, a scratch array of the same shape and the
+    gradient w.r.t. its input, allocated once, plus grads, one (dW, db) pair
+    of views per layer (layer_views of a flat gradient).
+
+    forward and backward run Dense.forward and Dense.backward's operations
+    in the same order, so every value is bitwise equal to theirs, but write
+    only into these arrays. Reductions call the ufunc's reduce directly,
+    the same reduction without the ndarray method's Python wrapper. The
+    arrays are reused by the next pass, so a workspace serves one training
+    call at a time.
+    """
+
+    def __init__(self, layers, batch, grads):
+        self.outputs = [np.empty((batch, layer.n_out)) for layer in layers]
+        # per layer: the parameter views, the activation, the output, a
+        # scratch array, the input gradient and the (dW, db) views
+        self._layers = [
+            (layer.W, layer.W.T, layer.b, layer.activation, out, np.empty_like(out),
+             np.empty((batch, layer.n_in)), d_w, d_b)
+            for layer, out, (d_w, d_b) in zip(layers, self.outputs, grads)
+        ]
+        # per row: softmax's maximum and sum; the flat index, probability
+        # and gradient entry of the labelled class
+        self.row = np.empty((batch, 1))
+        self.row_offsets = np.arange(batch) * layers[-1].n_out
+        self.flat_index = np.empty(batch, dtype=np.intp)
+        self.picked = np.empty(batch)
+        self.picked_grad = np.empty(batch)
+        self.input = None
+
+    def forward(self, x):
+        """The chain's output for a checked (B, n_0) batch x, which must stay
+        unchanged until backward. A softmax layer raises ValueError, as
+        softmax does, on an empty batch or a non-finite logit."""
+        self.input = x
+        for _, w_t, b, activation, out, *_ in self._layers:
+            np.matmul(x, w_t, out=out)
+            out += b
+            if activation == "softmax":
+                self._softmax(out)
+            else:
+                _activate_inplace(activation, out)
+            x = out
+        return x
+
+    def _softmax(self, z):
+        if z.size == 0:
+            raise ValueError("softmax of an empty input")
+        # the sum is finite only if every logit is
+        if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
+            raise ValueError("softmax requires finite logits")
+        row = self.row
+        np.maximum.reduce(z, axis=-1, keepdims=True, out=row)
+        z -= row
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=-1, keepdims=True, out=row)
+        z /= row
+
+    def cross_entropy(self, labels):
+        """For a chain ending in softmax, after forward: the summed
+        -log p[label] of the output (labels checked in range by the caller,
+        as cross_entropy_from_labels does), and the output turned in place
+        into softmax + cross entropy's fused gradient w.r.t. the last
+        pre-activation, probs - onehot(labels), ready for backward."""
+        probs = self.outputs[-1].reshape(-1)
+        index, picked = self.flat_index, self.picked
+        np.add(self.row_offsets, labels, out=index)
+        probs.take(index, out=picked, mode="clip")
+        np.subtract(picked, 1.0, out=self.picked_grad)
+        probs.put(index, self.picked_grad, mode="clip")
+        np.maximum(picked, LOG_FLOOR, out=picked)
+        np.log(picked, out=picked)
+        np.negative(picked, out=picked)
+        return float(np.add.reduce(picked))
+
+    def backward(self, d, input_grad=False):
+        """Write each layer's dW and db into grads for d, the gradient w.r.t.
+        the chain's output (for a softmax last layer, w.r.t. its
+        pre-activation: cross_entropy's fused gradient). d is overwritten.
+        Returns the gradient w.r.t. the chain's input when input_grad, else
+        None."""
+        layers = self._layers
+        for k in range(len(layers) - 1, -1, -1):
+            w, _, _, activation, out, scratch, d_input, d_w, d_b = layers[k]
+            _activation_backward_inplace(activation, out, d, scratch)
+            np.matmul(d.T, layers[k - 1][4] if k else self.input, out=d_w)
+            np.add.reduce(d, axis=0, out=d_b)
+            if k == 0 and not input_grad:
+                return None
+            d = np.matmul(d, w, out=d_input)
+        return d

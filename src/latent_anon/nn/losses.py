@@ -31,13 +31,19 @@ def as_labels(labels):
     return labels.astype(int, copy=False)
 
 
+def labels_in_range(labels, n):
+    """Whether every label of a 1-D as_labels array lies in [0, n), in one
+    reduction: viewed as unsigned, a negative label exceeds any n."""
+    return not labels.size or int(np.maximum.reduce(labels.view(f"u{labels.itemsize}"))) < n
+
+
 def cross_entropy_from_labels(probs, labels):
     """Per-row -log p[label] for a (B, M) probability matrix. Returns shape (B,)."""
     probs = np.asarray(probs, dtype=float)
     labels = as_labels(labels)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
         raise ValueError("expected (B, M) probs and (B,) labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
+    if not labels_in_range(labels, probs.shape[1]):
         raise ValueError(f"label out of range [0, {probs.shape[1]})")
     picked = probs[np.arange(labels.size), labels]
     return -np.log(np.maximum(picked, LOG_FLOOR))

@@ -338,6 +338,14 @@ class TestErrorPaths:
         assert err.startswith("error: epochs must be >= 0")
         assert list(out.iterdir()) == []
 
+    def test_train_rejects_negative_beta(self, workspace, tmp_path, capsys):
+        out = tmp_path / "models"
+        argv = ["train", "--archive", str(workspace["data"]), "--out", str(out), "--beta", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta must be finite and >= 0")
+        assert list(out.iterdir()) == []
+
     def test_gridsearch_smoke(self, workspace, tmp_path):
         out = tmp_path / "grid"
         assert main([

@@ -6,6 +6,8 @@ operations in the same order. No hash of trained parameters is pinned, since
 BLAS kernels differ between CPUs; both sides of each comparison run here.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from latent_anon.models import (
     train_classifier,
     train_vae,
 )
+from latent_anon.models.classifier import ClassifierWorkspace
 from latent_anon.models.training import _fit
+from latent_anon.models.vae import VaeWorkspace
 from latent_anon.nn import ACTIVATIONS, MLP, Adam, Dense
 from latent_anon.nn.losses import as_labels, cross_entropy_from_labels
 
@@ -300,11 +304,17 @@ class TestFlatLayout:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6))
         y = np.array([0, 1, 2, 0])
+        # _fit's step writes the batch gradient into _fit's flat vector
+        # through a workspace that views it
         if kind == "vae":
             noise = rng.standard_normal((4, loaded.latent_dim))
-            step = lambda idx: (0.0, loss_and_gradients(loaded, x[idx], y[idx], 1.0, 1.0, noise[idx])[1])
+            step = lambda idx, grad: loss_and_gradients(
+                loaded, x[idx], y[idx], 1.0, 1.0, noise[idx], VaeWorkspace(loaded, idx.size, grad)
+            )[0].total
         else:
-            step = lambda idx: loaded.loss_and_gradients(x[idx], y[idx])
+            step = lambda idx, grad: loaded.loss_and_gradients(
+                x[idx], y[idx], ClassifierWorkspace(loaded, idx.size, grad)
+            )[0]
         before = as_bytes(loaded.parameters())
         _fit(loaded, step, 4, TrainConfig(epochs=1, batch_size=4), rng)
         after = as_bytes(loaded.parameters())
@@ -324,15 +334,40 @@ class TestTrainingInputValidation:
             ("learning_rate", float("inf"), "learning_rate"),
             ("learning_rate", 0.0, "learning_rate"),
             ("learning_rate", -1e-3, "learning_rate"),
+            # these failed deep inside training, or trained a negated term
+            ("alpha", float("nan"), "alpha must be finite and >= 0"),
+            ("alpha", float("inf"), "alpha must be finite and >= 0"),
+            ("alpha", -2.0, "alpha must be finite and >= 0"),
+            ("beta", float("inf"), "beta must be finite and >= 0"),
+            ("beta", -1.0, "beta must be finite and >= 0"),
+            ("latent_dim", 0, "latent_dim must be >= 1"),
+            ("latent_dim", 2.0, "latent_dim must be an integer"),
+            ("epochs", 2.5, "epochs must be an integer"),
+            ("batch_size", 3.5, "batch_size must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+            ("hidden", (8.5,), "hidden must be a tuple of integers >= 1"),
+            ("hidden", (8, 0), "hidden must be a tuple of integers >= 1"),
+            ("hidden", [64, 32], "hidden must be a tuple of integers >= 1"),
         ],
     )
     def test_config_rejects(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
 
+    def test_replace_is_checked(self):
+        # grid_search derives its configs with replace
+        with pytest.raises(ValueError, match="beta must be finite"):
+            replace(TrainConfig(), alpha=1.0, beta=-1.0)
+
     def test_zero_epochs_and_batch_of_one_accepted(self):
         config = TrainConfig(epochs=0, batch_size=1)
         assert (config.epochs, config.batch_size) == (0, 1)
+
+    def test_zero_weights_and_numpy_integers_accepted(self):
+        config = TrainConfig(
+            alpha=0.0, beta=0, epochs=np.int64(2), latent_dim=np.int32(3), seed=np.uint32(7), hidden=()
+        )
+        assert (config.alpha, config.beta, config.latent_dim) == (0.0, 0, 3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("trainer", ["classifier", "vae"])
