@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ..nn.layers import MLP, ChainWorkspace, as_batch, check_batch, flatten_parameters, layer_views
+from ..nn.layers import MLP, ChainWorkspace, check_batch, flatten_parameters, layer_views
 from ..nn.losses import as_labels, labels_in_range
 
 
@@ -52,16 +52,13 @@ class Classifier:
 
     def predict_proba(self, x):
         """Class probabilities of one vector (n,) or of each row of a batch."""
-        xb, single = as_batch(x)
-        probs = self.mlp.infer(xb)
-        return probs[0] if single else probs
+        return self.mlp.infer(x)
 
     def predict(self, x):
-        """Argmax of the logits; equal logits resolve to the lower index. An
-        empty batch or a non-finite logit raises ValueError, as in
-        predict_proba."""
-        xb, single = as_batch(x)
-        logits = self.mlp.logits(xb)
+        """Argmax of the logits: an int for one vector (n,), one label per
+        row for a batch. Equal logits resolve to the lower index. An empty
+        batch or a non-finite logit raises ValueError, as in predict_proba."""
+        logits = self.mlp.logits(x)
         if logits.size == 0:
             raise ValueError("predict of an empty batch")
         # one reduction: the sum is finite only if every logit is; a finite
@@ -69,7 +66,7 @@ class Classifier:
         if not math.isfinite(logits.sum()) and not np.isfinite(logits).all():
             raise ValueError("predict requires finite logits")
         labels = logits.argmax(axis=-1)
-        return int(labels[0]) if single else labels
+        return int(labels) if logits.ndim == 1 else labels
 
     def loss_and_gradients(self, x, labels, workspace=None):
         """Summed cross entropy over the batch plus gradients aligned with

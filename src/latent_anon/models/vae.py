@@ -23,8 +23,8 @@ from ..nn.layers import (
     MLP,
     ChainWorkspace,
     Dense,
-    as_batch,
     check_batch,
+    check_rows,
     flatten_parameters,
     layer_views,
 )
@@ -88,9 +88,10 @@ class VaeModel:
     """Encoder/decoder pair plus the private-attribute head, for one public class.
 
     encode, decode and classify_latent run the cacheless inference pass
-    (MLP.infer, Dense.infer), bitwise equal to forward; loss_and_gradients
-    runs a VaeWorkspace. parameter_vector holds every parameter, in
-    parameters() order; each layer's W and b are views into it.
+    (MLP.infer, Dense.infer) on a vector or a batch, bitwise equal to
+    forward; loss_and_gradients runs a VaeWorkspace. parameter_vector holds
+    every parameter, in parameters() order; each layer's W and b are views
+    into it.
     """
 
     def __init__(
@@ -157,24 +158,18 @@ class VaeModel:
     def encode(self, x):
         """Deterministic map to the posterior parameters (mu, logvar) of one
         vector (n,) or of each row of a batch."""
-        xb, single = as_batch(x)
-        h = self.encoder.infer(xb)
-        mu = self.mu_head.infer(h)
-        logvar = self.logvar_head.infer(h)
-        if single:
-            mu, logvar = mu[0], logvar[0]
-        return LatentDistribution(mu=mu, logvar=logvar)
+        h = self.encoder.infer(x)
+        return LatentDistribution(mu=self.mu_head.infer(h), logvar=self.logvar_head.infer(h))
 
     def decode(self, z):
-        zb, single = as_batch(z)
-        x_hat = self.decoder.infer(zb)
-        return x_hat[0] if single else x_hat
+        """The reconstruction of one latent vector (J,) or of each row of a
+        batch."""
+        return self.decoder.infer(z)
 
     def classify_latent(self, z):
-        """Softmax distribution of the private-attribute head at z."""
-        zb, single = as_batch(z)
-        probs = self.class_head.infer(check_batch(zb, self.latent_dim))
-        return probs[0] if single else probs
+        """Softmax distribution of the private-attribute head at one latent
+        vector (J,) or at each row of a batch."""
+        return self.class_head.infer(check_rows(z, self.latent_dim))
 
 
 class VaeWorkspace:

@@ -1,17 +1,20 @@
 """Dense layers and MLP stacks with hand-written forward/backward passes.
 
-Everything is double precision. Layers take batches only, one row per item;
-the models lift a single vector to a one-row batch once, at their boundary,
-with as_batch. Layers hold no per-call state: forward returns a cache that
-backward consumes, so inference on frozen parameters is safe from multiple
-threads.
+Everything is double precision. Layers hold no per-call state: forward
+returns a cache that backward consumes, so inference on frozen parameters is
+safe from multiple threads.
 
-Training uses forward. Inference uses the cacheless pass: Dense.infer applies
-the layer with no cache and no checks, and MLP.logits checks the (B, n_0)
-batch once at its boundary, then returns the last layer's pre-activation
+Training uses forward, which takes batches only, one row per item. Inference
+uses the cacheless pass, which takes a single (n,) row or a (B, n) batch and
+runs the same operations on either rank: Dense.infer applies the layer with
+no cache and no checks, and MLP.logits checks the row or batch once at its
+boundary (check_rows), then returns the last layer's pre-activation
 (MLP.infer applies the last activation to it). Both add the bias and apply
 tanh/relu in place, so each layer allocates one array; they run the same
-operations as forward, so their outputs are bitwise equal to forward's.
+operations as forward, so their outputs are bitwise equal to forward's. A
+product x @ W.T of one row runs the same matmul kernel as that of a one-row
+batch, so a row's result is bitwise row 0 of the one-row batch's, without
+the lift to (1, n) and its broadcast bias add.
 
 Each model holds its parameters in one contiguous float64 vector
 (flatten_parameters): every Dense.W and Dense.b is a view into it, in
@@ -85,17 +88,20 @@ def _activation_backward(name, z, y, d_y):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def as_batch(x):
-    """x as a float (B, n) batch, and whether it came as one (n,) vector."""
-    x = np.asarray(x, dtype=float)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
-
-
 def check_batch(x, n_in):
     """x as a float (B, n_in) batch; any other shape raises ValueError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != n_in:
         raise ValueError(f"expected a (B, {n_in}) batch, got shape {x.shape}")
+    return x
+
+
+def check_rows(x, n):
+    """x as a float (n,) row or (B, n) batch; any other shape raises
+    ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"expected a (B, {n}) batch or a ({n},) row, got shape {x.shape}")
     return x
 
 
@@ -134,9 +140,9 @@ class Dense:
         return y, (x, z, y)
 
     def infer(self, x):
-        """activation(x @ W.T + b) for a float (B, n_in) batch the caller
-        has checked; no cache. The bias and the activation are applied in
-        place, into the product."""
+        """activation(x @ W.T + b) for a float (n_in,) row or (B, n_in)
+        batch the caller has checked; no cache. The bias and the activation
+        are applied in place, into the product."""
         z = x @ self.W.T
         z += self.b
         return _activate_inplace(self.activation, z)
@@ -190,9 +196,9 @@ class MLP:
         return x, caches
 
     def logits(self, x):
-        """The last layer's pre-activation for a (B, sizes[0]) batch, checked
-        once here."""
-        x = check_batch(x, self.sizes[0])
+        """The last layer's pre-activation for a (sizes[0],) row or a
+        (B, sizes[0]) batch, checked once here; a row gives a row."""
+        x = check_rows(x, self.sizes[0])
         for layer in self.layers[:-1]:
             x = layer.infer(x)
         last = self.layers[-1]

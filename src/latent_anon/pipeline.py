@@ -114,7 +114,8 @@ def anonymize_embedding(
     latent_mode="sample",
     timings=None,
 ):
-    """Run the six anonymization steps on one flattened embedding.
+    """Run the six anonymization steps on one flattened embedding, a 1-D row
+    of the models' input width; any other shape raises ValueError naming it.
 
     noise_rng provides the standard-normal draw for the latent sample.
     latent_mode "mean" skips sampling and uses the posterior mean, a
@@ -122,17 +123,20 @@ def anonymize_embedding(
     probabilistic Modify and defaults to the secure source.
     """
     x = np.asarray(x, dtype=float)
+    dim = registry.public_classifier.input_dim
+    if x.shape != (dim,):
+        raise ValueError(f"expected a ({dim},) row, got shape {x.shape}")
     if latent_mode not in ("sample", "mean"):
         raise ValueError(f"unknown latent mode {latent_mode!r}")
     timed = timings is not None
 
     t0 = perf_counter() if timed else 0.0
-    u = int(registry.public_classifier.predict(x))
+    u = registry.public_classifier.predict(x)
     if timed:
         timings.add("classify_public", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    i = int(registry.private_classifier.predict(x))
+    i = registry.private_classifier.predict(x)
     if timed:
         timings.add("classify_private", perf_counter() - t0)
 
@@ -227,7 +231,7 @@ def anonymize_stream(samples, window, stride, registry, **kwargs):
     capacity = window + max(window, stride)
     buffer = None
     end = 0
-    seen = 0
+    due = window  # rows until the next window is complete
     index = 0
     for row in samples:
         row = np.asarray(row, dtype=float)
@@ -251,8 +255,9 @@ def anonymize_stream(samples, window, stride, registry, **kwargs):
             end = window - 1
         buffer[end] = row
         end += 1
-        seen += 1
-        if seen >= window and (seen - window) % stride == 0:
+        due -= 1
+        if not due:
+            due = stride
             yield _anonymize_window(buffer[end - window : end].reshape(-1), registry, index, kwargs)
             index += 1
 

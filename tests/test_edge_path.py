@@ -1,5 +1,6 @@
 """Differential tests of the N = 1 edge path against its plain reference:
-the stream's contiguous ring against windows cut explicitly from the rows,
+the stream's contiguous ring against windows cut explicitly from the rows
+(every form a row may arrive in, and the rows it must reject),
 predict's one-reduction finiteness check, and the in-place sample_latent and
 apply_transfer against their textbook formulas."""
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latent_anon.models import Classifier, LatentDistribution, VaeModel, sample_latent
-from latent_anon.pipeline import ModelRegistry, anonymize_embedding, anonymize_stream
+from latent_anon.pipeline import ModelRegistry, PipelineError, anonymize_embedding, anonymize_stream
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
 
 seeds = st.integers(0, 2**32 - 1)
@@ -33,11 +34,29 @@ def registry(dim, mode, seed, n_public=2, n_private=2, latent=2):
     )
 
 
+# every form a row may arrive in; the stream converts each as
+# np.asarray(row, dtype=float) flattened to 1-D
 ROW_FORMS = {
     "ndarray": lambda row: row,
+    "strided view": lambda row: np.repeat(row, 2)[::2],
     "list": lambda row: row.tolist(),
+    "tuple": lambda row: tuple(row.tolist()),
     "one-row batch": lambda row: row[None, :],
+    "column": lambda row: row[:, None],
+    "int": lambda row: np.rint(10.0 * row).astype(int),
+    "float32": lambda row: row.astype(np.float32),
+    "big-endian": lambda row: row.astype(">f8"),
 }
+# one channel only: a row given as a scalar
+SCALAR_FORMS = {
+    "float": lambda row: float(row[0]),
+    "numpy scalar": lambda row: row[0],
+    "0-d array": lambda row: np.asarray(row[0]),
+}
+
+
+def converted(row):
+    return np.asarray(row, dtype=float).reshape(-1)
 
 
 class TestStreamRing:
@@ -48,13 +67,17 @@ class TestStreamRing:
         n_rows=st.integers(0, 80),
         channels=st.integers(1, 4),
         mode=st.sampled_from(["deterministic", "probabilistic"]),
-        form=st.sampled_from(sorted(ROW_FORMS)),
+        form=st.sampled_from(sorted(ROW_FORMS) + sorted(SCALAR_FORMS)),
         seed=seeds,
     )
     def test_equals_explicit_windows(self, window, stride, n_rows, channels, mode, form, seed):
+        as_form = ROW_FORMS.get(form) or SCALAR_FORMS[form]
+        if form in SCALAR_FORMS:
+            channels = 1
         rng = np.random.default_rng(seed)
         reg = registry(window * channels, mode, seed)
-        rows = rng.normal(size=(n_rows, channels))
+        given_rows = [as_form(row) for row in rng.normal(size=(n_rows, channels))]
+        rows = np.array([converted(row) for row in given_rows]).reshape(n_rows, channels)
         starts = range(0, n_rows - window + 1, stride)
         flips = rng.integers(0, 2, size=len(starts)).tolist()
 
@@ -67,7 +90,7 @@ class TestStreamRing:
         ]
         got = list(
             anonymize_stream(
-                (ROW_FORMS[form](row) for row in rows),
+                iter(given_rows),
                 window,
                 stride,
                 reg,
@@ -79,6 +102,24 @@ class TestStreamRing:
         for (x_hat, record), (ref_x, ref_record) in zip(got, expected):
             assert x_hat.tobytes() == ref_x.tobytes()
             assert record == ref_record
+
+    # a width-1 row would broadcast silently into a 3-channel buffer row
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(1), [0.0], 0.0, np.float64(0.0), np.asarray(0.0), np.zeros((1, 1))]
+    )
+    def test_width_one_row_is_rejected(self, bad):
+        rows = [np.zeros(3), np.zeros(3), bad]
+        with pytest.raises(PipelineError, match=r"channel count changed mid-stream: 1 after 3"):
+            list(anonymize_stream(iter(rows), 2, 1, registry(6, "deterministic", 0)))
+
+    @pytest.mark.parametrize("bad", [["a", "b", "c"], np.array(["1", "2", "x"])])
+    def test_unconvertible_row_raises_as_asarray_does(self, bad):
+        with pytest.raises(ValueError) as expected:
+            np.asarray(bad, dtype=float)
+        rows = [np.zeros(3), bad]
+        with pytest.raises(ValueError) as got:
+            list(anonymize_stream(iter(rows), 2, 1, registry(6, "deterministic", 0)))
+        assert str(got.value) == str(expected.value)
 
 
 class TestPredict:

@@ -1,6 +1,9 @@
 """The cacheless inference pass: Dense.infer, MLP.logits/infer and the model
 methods built on them, checked bitwise against forward; and the named errors
-that non-finite or empty input raises through predict and the pipeline."""
+that non-finite, empty or misshapen input raises through predict and the
+pipeline."""
+
+import re
 
 import numpy as np
 import pytest
@@ -177,3 +180,20 @@ class TestNonFiniteInput:
         clf = make_registry().private_classifier
         with pytest.raises(ValueError, match="empty"):
             getattr(clf, method)(np.empty((0, D)))
+
+
+class TestBadShape:
+    """A row that is not a 1-D (D,) vector fails at the top of the pipeline
+    with a ValueError naming the caller's shape, so anonymize_batch names the
+    index, a (1, D) row included."""
+
+    @pytest.mark.parametrize("shape", [(1, D), (D - 1,), (D + 1,), (), (D, 1)])
+    def test_anonymize_embedding_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected a ({D},) row, got shape {shape}")):
+            anonymize_embedding(np.zeros(shape), make_registry(), noise_rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(1, D), (D - 1,)])
+    def test_anonymize_batch_names_the_index(self, shape):
+        rows = [np.zeros(D), np.zeros(D), np.zeros(shape)]
+        with pytest.raises(PipelineError, match=re.escape(f"embedding 2: expected a ({D},) row, got shape {shape}")):
+            anonymize_batch(rows, make_registry(), noise_rng=np.random.default_rng(0))
