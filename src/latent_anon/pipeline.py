@@ -1,4 +1,4 @@
-"""The anonymization pipeline, per embedding and over streams.
+"""The anonymization pipeline, over a row, a batch or a stream.
 
 For each embedding the six steps run in order:
 
@@ -10,10 +10,19 @@ For each embedding the six steps run in order:
     5. shift the latent: z_hat = z - mean(u, i) + mean(u, i'),
     6. decode z_hat with the decoder of class u.
 
+anonymize_embedding runs them on one (D,) row or on a (B, D) batch. A batch
+takes each step once for all rows: both classifiers see the whole batch, the
+rows are grouped by predicted u so each group makes one encode and one
+decode call, the noise is one (B, J) draw, and Modify still flips one coin
+per row in row order. The outputs equal the row-by-row path up to float
+summation order. Batches, archives and the attack go through the batch
+form; streams and the stage timings through the row form.
+
 Every call returns the reconstructed embedding plus a provenance record of
-what was predicted and applied.
+what was predicted and applied, one record per row.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 from time import perf_counter
@@ -21,7 +30,7 @@ from time import perf_counter
 import numpy as np
 
 from .models.vae import sample_latent
-from .transform import SecureCoin, apply_transfer, compute_mean_table
+from .transform import SecureCoin, TableError, apply_transfer, compute_mean_table
 
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
@@ -114,20 +123,30 @@ def anonymize_embedding(
     latent_mode="sample",
     timings=None,
 ):
-    """Run the six anonymization steps on one flattened embedding, a 1-D row
-    of the models' input width; any other shape raises ValueError naming it.
+    """Run the six anonymization steps on one flattened embedding, a (D,) row
+    of the models' input width, or on each row of a nonempty (B, D) batch;
+    any other shape raises ValueError naming it.
 
-    noise_rng provides the standard-normal draw for the latent sample.
-    latent_mode "mean" skips sampling and uses the posterior mean, a
-    deterministic variant kept for tests and debugging. The coin drives
-    probabilistic Modify and defaults to the secure source.
+    A row gives (x_hat, record); a batch gives ((B, D) outputs, records
+    numbered index, index + 1, ...), and a failure that one row causes
+    names that row as "embedding index + k". noise_rng provides the
+    standard-normal draw for the latent sample, row after row. latent_mode
+    "mean" skips sampling and uses the posterior mean, a deterministic
+    variant kept for tests and debugging. The coin drives probabilistic
+    Modify, one flip per row in row order, and defaults to the secure
+    source. timings, a StageTimings, collects per-stage times of a row;
+    a batch with timings raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     dim = registry.public_classifier.input_dim
-    if x.shape != (dim,):
-        raise ValueError(f"expected a ({dim},) row, got shape {x.shape}")
     if latent_mode not in ("sample", "mean"):
         raise ValueError(f"unknown latent mode {latent_mode!r}")
+    if x.shape != (dim,):
+        if x.ndim != 2 or x.shape[1] != dim or not x.shape[0]:
+            raise ValueError(f"expected a ({dim},) row or a (B, {dim}) batch, got shape {x.shape}")
+        if timings is not None:
+            raise ValueError("stage timings are per row; a batch cannot record them")
+        return _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode)
     timed = timings is not None
 
     t0 = perf_counter() if timed else 0.0
@@ -183,33 +202,136 @@ def anonymize_embedding(
     return x_hat, record
 
 
+def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
+    """anonymize_embedding's six steps on a (B, D) batch, each step once for
+    all rows; the rows are grouped by predicted public class for the VAE
+    calls. A check that a row fails names the lowest such row."""
+    n = x.shape[0]
+    # one reduction: the sum is finite only if every value is; a finite
+    # sum that overflows gets the exact check
+    if not math.isfinite(x.sum()):
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise ValueError(f"embedding {index + int(bad.argmax())}: non-finite value in the row")
+    u = _predict(registry.public_classifier, x, index)
+    i = _predict(registry.private_classifier, x, index)
+    classes, first = np.unique(u, return_index=True)
+    missing = [k for c, k in zip(classes.tolist(), first.tolist()) if c not in registry.vaes]
+    if missing:
+        k = min(missing)
+        raise PipelineError(
+            f"embedding {index + k}: no VAE registered for predicted public class {u[k]}"
+        )
+
+    policy = registry.policy
+    if policy.mode == "probabilistic" and coin is None:
+        coin = _SECURE_COIN
+    modified = []
+    try:
+        for k, i_k in enumerate(i.tolist()):
+            modified.append(policy.modify(i_k, coin))
+    except ValueError as exc:
+        raise ValueError(f"embedding {index + k}: {exc}") from exc
+    targets, applied = zip(*modified)
+    t = np.array(targets)
+    table = registry.mean_table
+    moved = t != i
+    lacking = moved & ~(_has_cells(table, u, i) & _has_cells(table, u, t))
+    if lacking.any():
+        k = int(lacking.argmax())
+        cell = i[k] if not table.has(u[k], i[k]) else t[k]
+        raise TableError(
+            f"embedding {index + k}: no mean latent recorded for cell (u={u[k]}, i={cell})"
+        )
+
+    latent_dim = table.latent_dim
+    if latent_mode == "mean":
+        noise = None
+    else:
+        rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
+        noise = rng.standard_normal((n, latent_dim))
+    whole = len(classes) == 1  # one group is the batch itself: no gather, no scatter
+    outputs = None if whole else np.empty((n, x.shape[1]))
+    crcs = [0] * n
+    for c in classes.tolist():
+        rows = np.flatnonzero(u == c)
+        vae = registry.vaes[c]
+        if vae.latent_dim != latent_dim:
+            raise ValueError(
+                f"embedding {index + rows[0]}: latent has shape ({vae.latent_dim},), "
+                f"table expects ({latent_dim},)"
+            )
+        dist = vae.encode(x if whole else x[rows])
+        z_hat = dist.mu if noise is None else sample_latent(dist, noise[rows])
+        # the transfer, row for row the arithmetic of apply_transfer
+        shift = moved[rows]
+        if shift.any():
+            moving = rows[shift]
+            z_hat[shift] = z_hat[shift] - table.means[c, i[moving]] + table.means[c, t[moving]]
+        z_hat = np.ascontiguousarray(z_hat, dtype="<f8")
+        for k, z_row in zip(rows.tolist(), z_hat):
+            crcs[k] = zlib.crc32(z_row)
+        x_hat = vae.decode(z_hat)
+        if whole:
+            outputs = x_hat
+        else:
+            outputs[rows] = x_hat
+
+    records = [
+        AnonymizationRecord(index + k, *fields)
+        for k, fields in enumerate(zip(u.tolist(), i.tolist(), targets, applied, crcs))
+    ]
+    return outputs, records
+
+
+def _predict(classifier, x, index):
+    """classifier.predict over the batch. It fails for the batch as a whole
+    (on a non-finite logit), so a failure is named by the first row that
+    fails on its own."""
+    try:
+        return classifier.predict(x)
+    except ValueError as exc:
+        for k, row in enumerate(x):
+            try:
+                classifier.predict(row)
+            except ValueError:
+                raise ValueError(f"embedding {index + k}: {exc}") from exc
+        raise
+
+
+def _has_cells(table, u, i):
+    """Per row, whether the table holds cell (u, i); classes outside its
+    counts have none."""
+    inside = (u < table.n_public) & (i < table.n_private)
+    found = np.zeros(len(u), dtype=bool)
+    found[inside] = table.counts[u[inside], i[inside]] > 0
+    return found
+
+
 def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_mode="sample"):
-    """Elementwise anonymization, order preserved.
+    """Anonymize a list of embeddings, order preserved, in one batch call of
+    anonymize_embedding on the stacked rows.
 
     Accepts Embedding objects or raw vectors. Returns (outputs (N, D), records).
-    Per-item failures carry the offending index.
+    A failure raises PipelineError naming the lowest offending index.
     """
-    xs = [e.x if hasattr(e, "x") else np.asarray(e, dtype=float) for e in embeddings]
-    outputs = []
-    records = []
+    dim = registry.public_classifier.input_dim
+    xs = [e.x if hasattr(e, "x") else e for e in embeddings]
     for k, x in enumerate(xs):
-        try:
-            x_hat, record = anonymize_embedding(
-                x,
-                registry,
-                index=k,
-                noise_rng=noise_rng,
-                coin=coin,
-                latent_mode=latent_mode,
-            )
-        except (PipelineError, ValueError) as exc:
-            raise PipelineError(f"embedding {k}: {exc}") from exc
-        outputs.append(x_hat)
-        records.append(record)
-    if not outputs:
-        dim = registry.public_classifier.input_dim
-        return np.empty((0, dim)), records
-    return np.stack(outputs), records
+        if np.shape(x) != (dim,):
+            raise PipelineError(f"embedding {k}: expected a ({dim},) row, got shape {np.shape(x)}")
+    if not xs:
+        return np.empty((0, dim)), []
+    try:
+        return anonymize_embedding(
+            np.stack(xs, dtype=float),
+            registry,
+            noise_rng=noise_rng,
+            coin=coin,
+            latent_mode=latent_mode,
+        )
+    except (PipelineError, ValueError) as exc:
+        raise PipelineError(str(exc)) from exc
 
 
 def anonymize_stream(samples, window, stride, registry, **kwargs):

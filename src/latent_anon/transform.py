@@ -21,6 +21,7 @@ cryptographically secure source per embedding).
 
 import secrets
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,12 +159,12 @@ class SequenceCoin:
     """Test double fed with a fixed sequence of outcomes."""
 
     def __init__(self, flips=()):
-        self._flips = list(flips)
+        self._flips = deque(flips)
 
     def flip(self):
         if not self._flips:
             raise RuntimeError("SequenceCoin ran out of injected flips")
-        return bool(self._flips.pop(0))
+        return bool(self._flips.popleft())
 
 
 class ConstantCoin:

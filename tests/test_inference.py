@@ -183,14 +183,24 @@ class TestNonFiniteInput:
 
 
 class TestBadShape:
-    """A row that is not a 1-D (D,) vector fails at the top of the pipeline
-    with a ValueError naming the caller's shape, so anonymize_batch names the
-    index, a (1, D) row included."""
+    """Input that is neither a (D,) row nor a nonempty (B, D) batch fails at
+    the top of the pipeline with a ValueError naming the caller's shape. A
+    (1, D) input is a one-row batch; as an item of anonymize_batch it is a
+    misshapen row, named by its index."""
 
-    @pytest.mark.parametrize("shape", [(1, D), (D - 1,), (D + 1,), (), (D, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(D - 1,), (D + 1,), (), (D, 1), (0, D), (3, D - 1), (2, 1, D)]
+    )
     def test_anonymize_embedding_names_the_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"expected a ({D},) row, got shape {shape}")):
+        expected = f"expected a ({D},) row or a (B, {D}) batch, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             anonymize_embedding(np.zeros(shape), make_registry(), noise_rng=np.random.default_rng(0))
+
+    def test_one_row_batch_is_a_batch(self):
+        outputs, records = anonymize_embedding(
+            np.zeros((1, D)), make_registry(), index=4, noise_rng=np.random.default_rng(0)
+        )
+        assert outputs.shape == (1, D) and [r.index for r in records] == [4]
 
     @pytest.mark.parametrize("shape", [(1, D), (D - 1,)])
     def test_anonymize_batch_names_the_index(self, shape):
