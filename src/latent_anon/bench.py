@@ -123,6 +123,10 @@ def benchmark_pipeline(
     additionally contains record assembly and the timing overhead itself.
     What each call spends outside its stage windows is kept as residual_s.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     xs = [e.x if hasattr(e, "x") else np.asarray(e, dtype=float) for e in embeddings]
     if not xs:
         raise ValueError("need at least one embedding")

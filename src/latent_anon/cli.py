@@ -328,9 +328,7 @@ def cmd_anonymize(args, out):
     base = Path(args.archive)
     source = base / "test.emba" if base.is_dir() else base
     embeddings, meta = load_embeddings(source)
-    outputs, records = anonymize_batch(
-        embeddings, registry, noise_rng=noise_rng, latent_mode=args.latent_mode
-    )
+    outputs, records = anonymize_batch(embeddings, registry, noise_rng=noise_rng)
     obfuscated = [
         replace(e, x=outputs[k]) for k, e in enumerate(embeddings)
     ]
@@ -368,8 +366,7 @@ def _anonymize_stream(args, out, registry, noise_rng):
         records = []
         with open(out.path("anonymized.txt"), "w", encoding="utf-8") as sink:
             for x_hat, record in anonymize_stream(
-                rows, args.window, args.stride, registry,
-                noise_rng=noise_rng, latent_mode=args.latent_mode,
+                rows, args.window, args.stride, registry, noise_rng=noise_rng
             ):
                 sink.write(" ".join(f"{v:.17g}" for v in x_hat) + "\n")
                 records.append(record)
@@ -517,7 +514,6 @@ def build_parser():
     p.add_argument("--models", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--mode", choices=["det", "prob", "identity"], default="det")
-    p.add_argument("--latent-mode", choices=["sample", "mean"], default="sample")
     p.add_argument("--stream", action="store_true")
     p.add_argument("--window", type=int)
     p.add_argument("--stride", type=int)

@@ -4,8 +4,9 @@ Everything is double precision. Layers hold no per-call state: forward
 returns a cache that backward consumes, so inference on frozen parameters is
 safe from multiple threads.
 
-Training uses forward, which takes batches only, one row per item. Inference
-uses the cacheless pass, which takes a single (n,) row or a (B, n) batch and
+forward takes batches only, one row per item; with backward it is the
+reference that the tests compare ChainWorkspace against. Inference uses the
+cacheless pass, which takes a single (n,) row or a (B, n) batch and
 runs the same operations on either rank: Dense.infer applies the layer with
 no cache and no checks, and MLP.logits checks the row or batch once at its
 boundary (check_rows), then returns the last layer's pre-activation
@@ -22,8 +23,8 @@ parameters() order, so the trainer updates the whole model with one Adam
 step. backward(..., input_grad=False) skips the gradient w.r.t. the layer
 input, d_z @ W, which no trainer needs for a model's first layer.
 
-The trainers run ChainWorkspace instead of forward/backward: the same
-operations in the same order, so bitwise the same values, written into
+The trainers run ChainWorkspace, not forward/backward: the same operations
+in the same order, so bitwise the same values as the reference, written into
 arrays allocated once per (model, batch size) and into (dW, db) views of one
 flat gradient laid out like the parameter vector (layer_views).
 """

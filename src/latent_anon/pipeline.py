@@ -18,6 +18,11 @@ per row in row order. The outputs equal the row-by-row path up to float
 summation order. Batches, archives and the attack go through the batch
 form; streams and the stage timings through the row form.
 
+The latent is always sampled, z = mu + exp(logvar / 2) * noise, with the
+noise drawn from the caller's noise source; a source of zeros gives the
+posterior mean. Without a coin, probabilistic Modify flips the
+secure source, the default that ModifyPolicy.modify holds.
+
 Every call returns the reconstructed embedding plus a provenance record of
 what was predicted and applied, one record per row.
 """
@@ -30,13 +35,11 @@ from time import perf_counter
 import numpy as np
 
 from .models.vae import sample_latent
-from .transform import SecureCoin, TableError, apply_transfer, compute_mean_table
+from .transform import TableError, apply_transfer, compute_mean_table
 
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
 _DEFAULT_RNG = np.random.default_rng()
-# stateless: every flip draws from the OS CSPRNG, so one instance serves all calls
-_SECURE_COIN = SecureCoin()
 
 
 class PipelineError(RuntimeError):
@@ -120,7 +123,6 @@ def anonymize_embedding(
     index=0,
     noise_rng=None,
     coin=None,
-    latent_mode="sample",
     timings=None,
 ):
     """Run the six anonymization steps on one flattened embedding, a (D,) row
@@ -130,23 +132,21 @@ def anonymize_embedding(
     A row gives (x_hat, record); a batch gives ((B, D) outputs, records
     numbered index, index + 1, ...), and a failure that one row causes
     names that row as "embedding index + k". noise_rng provides the
-    standard-normal draw for the latent sample, row after row. latent_mode
-    "mean" skips sampling and uses the posterior mean, a deterministic
-    variant kept for tests and debugging. The coin drives probabilistic
-    Modify, one flip per row in row order, and defaults to the secure
-    source. timings, a StageTimings, collects per-stage times of a row;
-    a batch with timings raises ValueError.
+    standard-normal draw for the latent sample, row after row; a source
+    whose standard_normal returns zeros gives the posterior mean. The coin
+    drives probabilistic Modify, one flip per row in row order; None leaves
+    the default, the secure source, to ModifyPolicy.modify. timings, a
+    StageTimings, collects per-stage times of a row; a batch with timings
+    raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     dim = registry.public_classifier.input_dim
-    if latent_mode not in ("sample", "mean"):
-        raise ValueError(f"unknown latent mode {latent_mode!r}")
     if x.shape != (dim,):
         if x.ndim != 2 or x.shape[1] != dim or not x.shape[0]:
             raise ValueError(f"expected a ({dim},) row or a (B, {dim}) batch, got shape {x.shape}")
         if timings is not None:
             raise ValueError("stage timings are per row; a batch cannot record them")
-        return _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode)
+        return _anonymize_rows(x, registry, index, noise_rng, coin)
     timed = timings is not None
 
     t0 = perf_counter() if timed else 0.0
@@ -164,18 +164,12 @@ def anonymize_embedding(
         raise PipelineError(f"no VAE registered for predicted public class {u}")
 
     t0 = perf_counter() if timed else 0.0
-    dist = vae.encode(x)
-    if latent_mode == "mean":
-        z = dist.mu
-    else:
-        rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-        z = sample_latent(dist, rng.standard_normal(vae.latent_dim))
+    rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
+    z = sample_latent(vae.encode(x), rng.standard_normal(vae.latent_dim))
     if timed:
         timings.add("encode", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    if registry.policy.mode == "probabilistic" and coin is None:
-        coin = _SECURE_COIN
     i_prime, applied = registry.policy.modify(i, coin)
     z_hat = apply_transfer(z, registry.mean_table, u, i, i_prime)
     crc = zlib.crc32(
@@ -202,7 +196,7 @@ def anonymize_embedding(
     return x_hat, record
 
 
-def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
+def _anonymize_rows(x, registry, index, noise_rng, coin):
     """anonymize_embedding's six steps on a (B, D) batch, each step once for
     all rows; the rows are grouped by predicted public class for the VAE
     calls. A check that a row fails names the lowest such row."""
@@ -224,8 +218,6 @@ def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
         )
 
     policy = registry.policy
-    if policy.mode == "probabilistic" and coin is None:
-        coin = _SECURE_COIN
     modified = []
     try:
         for k, i_k in enumerate(i.tolist()):
@@ -245,13 +237,9 @@ def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
         )
 
     latent_dim = table.latent_dim
-    if latent_mode == "mean":
-        noise = None
-    else:
-        rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-        noise = rng.standard_normal((n, latent_dim))
-    whole = len(classes) == 1  # one group is the batch itself: no gather, no scatter
-    outputs = None if whole else np.empty((n, x.shape[1]))
+    rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
+    noise = rng.standard_normal((n, latent_dim))
+    outputs = np.empty((n, x.shape[1]))
     crcs = [0] * n
     for c in classes.tolist():
         rows = np.flatnonzero(u == c)
@@ -261,8 +249,7 @@ def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
                 f"embedding {index + rows[0]}: latent has shape ({vae.latent_dim},), "
                 f"table expects ({latent_dim},)"
             )
-        dist = vae.encode(x if whole else x[rows])
-        z_hat = dist.mu if noise is None else sample_latent(dist, noise[rows])
+        z_hat = sample_latent(vae.encode(x[rows]), noise[rows])
         # the transfer, row for row the arithmetic of apply_transfer
         shift = moved[rows]
         if shift.any():
@@ -271,11 +258,7 @@ def _anonymize_rows(x, registry, index, noise_rng, coin, latent_mode):
         z_hat = np.ascontiguousarray(z_hat, dtype="<f8")
         for k, z_row in zip(rows.tolist(), z_hat):
             crcs[k] = zlib.crc32(z_row)
-        x_hat = vae.decode(z_hat)
-        if whole:
-            outputs = x_hat
-        else:
-            outputs[rows] = x_hat
+        outputs[rows] = vae.decode(z_hat)
 
     records = [
         AnonymizationRecord(index + k, *fields)
@@ -315,6 +298,9 @@ def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_m
     Accepts Embedding objects or raw vectors. Returns (outputs (N, D), records).
     A failure raises PipelineError naming the lowest offending index.
     """
+    # latent_mode stays only for callers that pass "sample" by name
+    if latent_mode != "sample":
+        raise ValueError(f"unknown latent mode {latent_mode!r}")
     dim = registry.public_classifier.input_dim
     xs = [e.x if hasattr(e, "x") else e for e in embeddings]
     for k, x in enumerate(xs):
@@ -323,22 +309,17 @@ def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_m
     if not xs:
         return np.empty((0, dim)), []
     try:
-        return anonymize_embedding(
-            np.stack(xs, dtype=float),
-            registry,
-            noise_rng=noise_rng,
-            coin=coin,
-            latent_mode=latent_mode,
-        )
+        return anonymize_embedding(np.stack(xs, dtype=float), registry, noise_rng=noise_rng, coin=coin)
     except (PipelineError, ValueError) as exc:
         raise PipelineError(str(exc)) from exc
 
 
-def anonymize_stream(samples, window, stride, registry, **kwargs):
+def anonymize_stream(samples, window, stride, registry, noise_rng=None, coin=None):
     """Windowed anonymization over a stream of C-channel sample rows.
 
     Once `window` rows have arrived, emits one anonymized embedding every
-    `stride` rows. Yields (x_hat, record) pairs in arrival order. Rows are
+    `stride` rows. Yields (x_hat, record) pairs in arrival order; noise_rng
+    and coin are anonymize_embedding's, shared by the windows. Rows are
     appended to a contiguous buffer of window + max(window, stride) rows,
     so each window is a view into it; when the buffer is full its last
     window - 1 rows move to the front. The generator owns the buffer, so
@@ -380,16 +361,17 @@ def anonymize_stream(samples, window, stride, registry, **kwargs):
         due -= 1
         if not due:
             due = stride
-            yield _anonymize_window(buffer[end - window : end].reshape(-1), registry, index, kwargs)
+            window_x = buffer[end - window : end].reshape(-1)
+            yield _anonymize_window(window_x, registry, index, noise_rng, coin)
             index += 1
 
 
-def _anonymize_window(x, registry, index, kwargs):
+def _anonymize_window(x, registry, index, noise_rng, coin):
     """anonymize_embedding on one stream window; a failure names the window.
     A call of its own, so a paused generator holds no reference to the
     result it handed out."""
     try:
-        return anonymize_embedding(x, registry, index=index, **kwargs)
+        return anonymize_embedding(x, registry, index=index, noise_rng=noise_rng, coin=coin)
     except (PipelineError, ValueError) as exc:
         raise PipelineError(f"window {index}: {exc}") from exc
 

@@ -155,6 +155,10 @@ class SecureCoin:
         return secrets.randbits(1) == 1
 
 
+# stateless: every flip draws from the OS CSPRNG, so one instance serves all calls
+_SECURE_COIN = SecureCoin()
+
+
 class SequenceCoin:
     """Test double fed with a fixed sequence of outcomes."""
 
@@ -197,16 +201,15 @@ class ModifyPolicy:
         self.mapping = None if self.mode == "identity" else cyclic_mapping(self.n_classes)
 
     def modify(self, i, coin=None):
-        """Returns (target class, applied flag)."""
+        """Returns (target class, applied flag). Probabilistic mode flips
+        `coin`, or the secure source when it is None."""
         if not 0 <= i < self.n_classes:
             raise ValueError(f"class {i} outside [0, {self.n_classes})")
         if self.mode == "identity":
             return i, False
         if self.mode == "deterministic":
             return self.mapping[i], True
-        if coin is None:
-            raise ValueError("probabilistic mode needs a randomness source")
-        if not coin.flip():
+        if not (_SECURE_COIN if coin is None else coin).flip():
             return i, False
         return self.mapping[i], True
 

@@ -20,10 +20,21 @@ from latent_anon.pipeline import (
     anonymize_batch,
     anonymize_embedding,
 )
-from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin
+from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
 
 seeds = st.integers(0, 2**32 - 1)
 ATOL = 1e-8
+
+
+class ZeroNoise:
+    """A noise source of zeros: the sampled latent is the posterior mean."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def noise_source(zeros, seed):
+    return ZeroNoise() if zeros else np.random.default_rng(seed)
 
 
 def registry(dim, n_public, n_private, mode, seed, hidden=(6, 4), latent=3, unpredicted=True):
@@ -49,10 +60,10 @@ def registry(dim, n_public, n_private, mode, seed, hidden=(6, 4), latent=3, unpr
     )
 
 
-def per_row(x, reg, seed, flips, latent_mode, index=0):
-    noise, coin = np.random.default_rng(seed), SequenceCoin(flips)
+def per_row(x, reg, seed, flips, zeros=False, index=0):
+    noise, coin = noise_source(zeros, seed), SequenceCoin(flips)
     results = [
-        anonymize_embedding(row, reg, index=index + k, noise_rng=noise, coin=coin, latent_mode=latent_mode)
+        anonymize_embedding(row, reg, index=index + k, noise_rng=noise, coin=coin)
         for k, row in enumerate(x)
     ]
     return np.stack([x_hat for x_hat, _ in results]), [record for _, record in results]
@@ -69,19 +80,18 @@ def without_crc(records):
     n_public=st.integers(1, 4),
     n_private=st.integers(2, 3),
     mode=st.sampled_from(["deterministic", "probabilistic", "identity"]),
-    latent_mode=st.sampled_from(["sample", "mean"]),
+    zeros=st.booleans(),
     index=st.integers(0, 1000),
     seed=seeds,
 )
-def test_batch_equals_per_row(n_rows, dim, n_public, n_private, mode, latent_mode, index, seed):
+def test_batch_equals_per_row(n_rows, dim, n_public, n_private, mode, zeros, index, seed):
     reg = registry(dim, n_public, n_private, mode, seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=2.0, size=(n_rows, dim))
     flips = rng.integers(0, 2, size=n_rows).tolist()
-    expected, expected_records = per_row(x, reg, seed, flips, latent_mode, index)
+    expected, expected_records = per_row(x, reg, seed, flips, zeros, index)
     outputs, records = anonymize_embedding(
-        x, reg, index=index, noise_rng=np.random.default_rng(seed),
-        coin=SequenceCoin(flips), latent_mode=latent_mode,
+        x, reg, index=index, noise_rng=noise_source(zeros, seed), coin=SequenceCoin(flips)
     )
     assert outputs.shape == (n_rows, dim)
     np.testing.assert_allclose(outputs, expected, rtol=0, atol=ATOL)
@@ -134,6 +144,38 @@ def test_one_row_batch_equals_the_row_call_bitwise(dim, mode):
         assert batch.shape == (1, dim)
         assert batch[0].tobytes() == row.tobytes()
         assert records == [row_record]
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "identity"])
+def test_zero_noise_gives_the_posterior_mean_bitwise(mode):
+    """A source of zeros makes the sampled latent the posterior mean: the
+    row path gives decode(apply_transfer(encode(x).mu, ...)) bit for bit,
+    and the batch path the same per group of rows with one predicted u."""
+    reg = registry(12, 3, 2, mode, 4, unpredicted=False)
+    x = np.random.default_rng(4).normal(scale=2.0, size=(30, 12))
+    u = reg.public_classifier.predict(x)
+    i = reg.private_classifier.predict(x)
+    targets = [reg.policy.modify(i_k)[0] for i_k in i.tolist()]
+    expected = np.empty_like(x)
+    for c in np.unique(u).tolist():
+        rows = np.flatnonzero(u == c)
+        mu = reg.vaes[c].encode(x[rows]).mu
+        z_hat = [apply_transfer(mu[j], reg.mean_table, c, i[k], targets[k]) for j, k in enumerate(rows)]
+        expected[rows] = reg.vaes[c].decode(np.stack(z_hat))
+    for k, row in enumerate(x):
+        vae = reg.vaes[int(u[k])]
+        z_hat = apply_transfer(vae.encode(row).mu, reg.mean_table, u[k], i[k], targets[k])
+        x_hat, _ = anonymize_embedding(row, reg, noise_rng=ZeroNoise())
+        assert x_hat.tobytes() == vae.decode(z_hat).tobytes()
+    outputs, _ = anonymize_embedding(x, reg, noise_rng=ZeroNoise())
+    assert len(np.unique(u)) > 1
+    assert outputs.tobytes() == expected.tobytes()
+
+
+def test_anonymize_batch_rejects_other_latent_modes():
+    reg = registry(5, 1, 2, "deterministic", 0)
+    with pytest.raises(ValueError, match="unknown latent mode 'mean'"):
+        anonymize_batch([np.zeros(5)], reg, latent_mode="mean")
 
 
 class TestBatchErrors:

@@ -150,6 +150,11 @@ class TestBenchmarkPipeline:
         with pytest.raises(ValueError):
             benchmark_pipeline(untrained_registry(), [], pin_core=False)
 
+    @pytest.mark.parametrize("name, value", [("repetitions", 0), ("repetitions", -1), ("warmup", -1)])
+    def test_counts_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            benchmark_pipeline(untrained_registry(), [np.zeros(48)], pin_core=False, **{name: value})
+
     def test_json_and_table_outputs(self):
         registry = untrained_registry()
         rng = np.random.default_rng(6)

@@ -278,6 +278,15 @@ class TestEvalAttackBench:
         ]) == 0
         assert "500.0 ms" in capsys.readouterr().out
 
+    def test_bench_zero_reps_is_an_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "bench0"
+        assert main([
+            "bench", "--models", str(workspace["models"]), "--table", str(workspace["table"]),
+            "--count", "4", "--warmup", "0", "--reps", "0", "--out", str(out),
+        ]) == 1
+        assert "error: repetitions must be >= 1" in capsys.readouterr().err
+        assert not (out / "bench.json").exists()
+
 
 class TestErrorPaths:
     def test_unreadable_archive(self, tmp_path, capsys):

@@ -21,9 +21,17 @@ from latent_anon.transform import (
     ConstantCoin,
     MeanLatentTable,
     ModifyPolicy,
+    SecureCoin,
     SequenceCoin,
     compute_mean_table,
 )
+
+
+class ZeroNoise:
+    """A noise source of zeros: the sampled latent is the posterior mean."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 class StubClassifier:
@@ -88,7 +96,7 @@ class TestAnonymizeEmbedding:
     def test_transfer_is_visible_through_passthrough_vae(self):
         registry = passthrough_registry()
         x = np.array([0.5, 1.0, 2.0])  # private class 0
-        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean")
+        x_hat, record = anonymize_embedding(x, registry, noise_rng=ZeroNoise())
         assert np.allclose(x_hat, x - np.zeros(3) + np.ones(3) * 10.0)
         assert record.predicted_private == 0 and record.target_private == 1
         assert record.applied
@@ -107,7 +115,7 @@ class TestAnonymizeEmbedding:
             policy=ModifyPolicy(mode="identity", n_classes=2),
         )
         x = rng.standard_normal(6)
-        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean")
+        x_hat, record = anonymize_embedding(x, registry, noise_rng=ZeroNoise())
         expected = vae.decode(vae.encode(x).mu)
         assert x_hat.tobytes() == expected.tobytes()
         assert not record.applied and record.target_private == record.predicted_private
@@ -115,7 +123,7 @@ class TestAnonymizeEmbedding:
     def test_never_apply_coin(self):
         registry = passthrough_registry(policy=ModifyPolicy(mode="probabilistic", n_classes=2))
         x = np.array([9.0, 0.0, 0.0])  # private class 1
-        x_hat, record = anonymize_embedding(x, registry, latent_mode="mean", coin=ConstantCoin(False))
+        x_hat, record = anonymize_embedding(x, registry, noise_rng=ZeroNoise(), coin=ConstantCoin(False))
         assert not record.applied
         assert record.target_private == record.predicted_private == 1
         assert np.allclose(x_hat, x)
@@ -123,28 +131,28 @@ class TestAnonymizeEmbedding:
     def test_applied_iff_class_changed(self):
         registry = passthrough_registry(policy=ModifyPolicy(mode="probabilistic", n_classes=2))
         coin = SequenceCoin(flips=[True, False])
-        _, r1 = anonymize_embedding(np.zeros(3), registry, latent_mode="mean", coin=coin)
-        _, r2 = anonymize_embedding(np.zeros(3), registry, latent_mode="mean", coin=coin)
+        _, r1 = anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise(), coin=coin)
+        _, r2 = anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise(), coin=coin)
         for r in (r1, r2):
             assert (r.target_private != r.predicted_private) == r.applied
 
     def test_step_order_classify_before_latent_ops(self):
         log = []
         registry = passthrough_registry(log=log)
-        anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
+        anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise())
         assert log == ["public", "private", "encode", "decode"]
 
     def test_missing_vae_for_predicted_class(self):
         registry = passthrough_registry()
         registry.public_classifier = StubClassifier(2, 3, rule=lambda x: 1)
         with pytest.raises(PipelineError, match="public class 1"):
-            anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
+            anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise())
 
     def test_missing_mean_cell_is_an_error(self):
         registry = passthrough_registry()
         registry.mean_table = MeanLatentTable(1, 2, 3, {(0, 0): (np.zeros(3), 1)})
         with pytest.raises(Exception, match=r"\(u=0, i=1\)"):
-            anonymize_embedding(np.zeros(3), registry, latent_mode="mean")
+            anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise())
 
     def test_deterministic_mode_is_pure(self):
         registry = passthrough_registry()
@@ -153,6 +161,30 @@ class TestAnonymizeEmbedding:
         b, rb = anonymize_embedding(x, registry, noise_rng=np.random.default_rng(5))
         assert a.tobytes() == b.tobytes()
         assert ra.zhat_crc32 == rb.zhat_crc32
+
+    def test_coinless_probabilistic_flips_secure_coin_per_row(self, monkeypatch):
+        # the row, batch and stream paths leave the default coin to
+        # ModifyPolicy.modify, which flips the secure source once per row
+        flips = []
+
+        def counted_flip(coin):
+            flips.append(coin)
+            return len(flips) % 2 == 0
+
+        monkeypatch.setattr(SecureCoin, "flip", counted_flip)
+        registry = passthrough_registry(
+            dim=6, policy=ModifyPolicy(mode="probabilistic", n_classes=2)
+        )
+        xs = list(np.random.default_rng(2).standard_normal((5, 6)))
+        for x in xs:
+            anonymize_embedding(x, registry)
+        assert len(flips) == 5
+        _, records = anonymize_batch(xs, registry)
+        assert len(flips) == 10
+        assert [r.applied for r in records] == [True, False] * 2 + [True]
+        windows = list(anonymize_stream(np.zeros((7, 2)), 3, 1, registry))
+        assert len(windows) == 5 and len(flips) == 15
+        assert all(isinstance(coin, SecureCoin) for coin in flips)
 
     def test_sampled_latent_uses_noise_rng(self):
         rng = np.random.default_rng(1)
@@ -279,7 +311,7 @@ class TestAnonymizeStream:
         registry = passthrough_registry(dim=6)
         rows = [np.array([k, k + 0.5]) for k in range(3)]
         outputs = list(
-            anonymize_stream(rows, 3, 1, registry, latent_mode="mean")
+            anonymize_stream(rows, 3, 1, registry, noise_rng=ZeroNoise())
         )
         # private class 0 shifts by +10 under the passthrough registry
         assert np.allclose(outputs[0][0], np.array([0, 0.5, 1, 1.5, 2, 2.5]) + 10.0)
@@ -385,5 +417,5 @@ class TestThroughput:
     def test_stage_timings_collected(self):
         registry = passthrough_registry()
         timings = StageTimings()
-        anonymize_embedding(np.zeros(3), registry, latent_mode="mean", timings=timings)
+        anonymize_embedding(np.zeros(3), registry, noise_rng=ZeroNoise(), timings=timings)
         assert all(len(v) == 1 for v in timings.samples.values())

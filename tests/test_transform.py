@@ -12,6 +12,7 @@ from latent_anon.transform import (
     ConstantCoin,
     MeanLatentTable,
     ModifyPolicy,
+    SecureCoin,
     SequenceCoin,
     TableError,
     apply_transfer,
@@ -181,10 +182,16 @@ class TestModifyPolicy:
         policy = ModifyPolicy(mode="deterministic", n_classes=2)
         assert policy.modify(0) == (1, True)
 
-    def test_probabilistic_requires_coin(self):
-        policy = ModifyPolicy(mode="probabilistic", n_classes=2)
-        with pytest.raises(ValueError):
-            policy.modify(0, coin=None)
+    def test_probabilistic_without_coin_flips_secure_coin(self, monkeypatch):
+        flips = []
+
+        def counted_flip(coin):
+            flips.append(coin)
+            return True
+
+        monkeypatch.setattr(SecureCoin, "flip", counted_flip)
+        assert ModifyPolicy(mode="probabilistic", n_classes=2).modify(0) == (1, True)
+        assert len(flips) == 1
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
