@@ -45,14 +45,14 @@ from .transform import ModifyPolicy, load_table, save_table
 
 def _thread_cap():
     raw = os.environ.get("LATENT_ANON_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"LATENT_ANON_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 class _Outputs:
-    """Tracks files written by a subcommand so failures leave nothing behind."""
+    """Writes a subcommand's outputs, one writer per text format, and tracks
+    every file so failures leave nothing behind."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
@@ -73,11 +73,19 @@ class _Outputs:
             except OSError:
                 pass
 
-    def write_config(self, args):
-        echo = {k: v for k, v in vars(args).items() if k != "func"}
-        with open(self.path("config.json"), "w", encoding="utf-8") as f:
-            json.dump(echo, f, indent=2, sort_keys=True, default=str)
+    def write_json(self, name, payload):
+        with open(self.path(name), "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
+
+    def write_csv(self, name, header, rows):
+        with open(self.path(name), "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_text(self, name, text):
+        self.path(name).write_text(text, encoding="utf-8")
 
 
 def _parse_floats(text):
@@ -221,9 +229,7 @@ def cmd_prepare(args, out):
         "test_subjects": split.test_subjects,
         "normalization": stats.to_dict() if stats else None,
     }
-    with open(out.path("manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    out.write_json("manifest.json", manifest)
     print(f"prepared {len(split.train)} train / {len(split.test)} test embeddings "
           f"(W={window}, S={stride}, C={n_channels}, U={n_public}, M={n_private})")
     return 0
@@ -259,10 +265,7 @@ def cmd_train(args, out):
     save_model(out.path("private_classifier.lann"), private_clf, training_seed=args.seed)
     for u, vae in vaes.items():
         save_model(out.path(f"vae_u{u}.lann"), vae, training_seed=args.seed)
-    with open(out.path("losses.csv"), "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "epoch", "loss"])
-        writer.writerows(curves)
+    out.write_csv("losses.csv", ["model", "epoch", "loss"], curves)
 
     metrics = {
         "public_train_accuracy": evaluate_accuracy(public_clf, train, "public"),
@@ -272,9 +275,7 @@ def cmd_train(args, out):
         "vae_final_loss": {u: [c for c in curves if c[0] == f"vae_u{u}"][-1][2] for u in vaes},
         "classification_loss_logged_zero": args.alpha == 0.0,
     }
-    with open(out.path("metrics.json"), "w", encoding="utf-8") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
+    out.write_json("metrics.json", metrics)
     print(f"trained {len(vaes)} VAEs and 2 classifiers; "
           f"test acc public={metrics['public_test_accuracy']} private={metrics['private_test_accuracy']}")
     return 0
@@ -293,18 +294,12 @@ def cmd_gridsearch(args, out):
         datasets, _parse_floats(args.alphas), _parse_floats(args.betas), config,
         n_private=meta.n_private,
     )
-    with open(out.path("grid.csv"), "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["alpha", "beta", "avg_loss"])
-        for e in result.entries:
-            writer.writerow([e.alpha, e.beta, f"{e.avg_loss:.6f}"])
-    with open(out.path("best.json"), "w", encoding="utf-8") as f:
-        json.dump(
-            {"alpha": result.best_alpha, "beta": result.best_beta,
-             "avg_loss": result.best_entry.avg_loss},
-            f, indent=2, sort_keys=True,
-        )
-        f.write("\n")
+    out.write_csv(
+        "grid.csv", ["alpha", "beta", "avg_loss"],
+        ([e.alpha, e.beta, f"{e.avg_loss:.6f}"] for e in result.entries),
+    )
+    out.write_json("best.json", {"alpha": result.best_alpha, "beta": result.best_beta,
+                                 "avg_loss": result.best_entry.avg_loss})
     print(f"best pair: alpha={result.best_alpha} beta={result.best_beta}")
     return 0
 
@@ -333,24 +328,31 @@ def cmd_anonymize(args, out):
         replace(e, x=outputs[k]) for k, e in enumerate(embeddings)
     ]
     save_embeddings(out.path("anonymized.emba"), obfuscated, meta)
-    _write_records(out.path("records.csv"), records)
+    _write_records(out, records)
     applied = float(np.mean([r.applied for r in records])) if records else 0.0
     print(f"anonymized {len(records)} embeddings (mode={registry.policy.mode}, "
           f"applied rate {applied:.3f})")
     return 0
 
 
-def _write_records(path, records):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["index", "predicted_public", "predicted_private", "target_private", "applied", "zhat_crc32"]
-        )
-        for r in records:
-            writer.writerow(
-                [r.index, r.predicted_public, r.predicted_private, r.target_private,
-                 int(r.applied), r.zhat_crc32]
-            )
+def _write_records(out, records):
+    out.write_csv(
+        "records.csv",
+        ["index", "predicted_public", "predicted_private", "target_private", "applied", "zhat_crc32"],
+        ([r.index, r.predicted_public, r.predicted_private, r.target_private, int(r.applied),
+          r.zhat_crc32] for r in records),
+    )
+
+
+def _stream_rows(source):
+    """The sample rows of a text stream, one per nonblank line, values split
+    on commas or whitespace; a value that is not a number names its line."""
+    for number, line in enumerate(source, 1):
+        if line.strip():
+            try:
+                yield [float(v) for v in line.replace(",", " ").split()]
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
 
 
 def _anonymize_stream(args, out, registry, noise_rng):
@@ -358,19 +360,14 @@ def _anonymize_stream(args, out, registry, noise_rng):
         raise PipelineError("stream mode needs --window and --stride")
     source = sys.stdin if args.archive == "-" else open(args.archive, "r", encoding="utf-8")
     try:
-        rows = (
-            [float(v) for v in line.replace(",", " ").split()]
-            for line in source
-            if line.strip()
-        )
         records = []
         with open(out.path("anonymized.txt"), "w", encoding="utf-8") as sink:
             for x_hat, record in anonymize_stream(
-                rows, args.window, args.stride, registry, noise_rng=noise_rng
+                _stream_rows(source), args.window, args.stride, registry, noise_rng=noise_rng
             ):
                 sink.write(" ".join(f"{v:.17g}" for v in x_hat) + "\n")
                 records.append(record)
-        _write_records(out.path("records.csv"), records)
+        _write_records(out, records)
         print(f"anonymized {len(records)} stream windows")
         return 0
     finally:
@@ -379,6 +376,7 @@ def _anonymize_stream(args, out, registry, noise_rng):
 
 
 def cmd_attack(args, out):
+    n_workers = _thread_cap()
     train, test, meta = _load_split_archives(args.archive)
     registry = _build_registry(args)
     config = AttackConfig(
@@ -390,12 +388,10 @@ def cmd_attack(args, out):
     factory = lambda run_seed: make_anonymizer(registry, seed=run_seed)
     report = run_reid_attack(
         factory, train, test, meta.n_private, config,
-        mode=registry.policy.mode, n_workers=_thread_cap(),
+        mode=registry.policy.mode, n_workers=n_workers,
     )
-    with open(out.path("runs.csv"), "w", encoding="utf-8") as f:
-        f.write(report.to_csv())
-    with open(out.path("summary.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json() + "\n")
+    out.write_text("runs.csv", report.to_csv())
+    out.write_text("summary.json", report.to_json() + "\n")
     print(f"re-identification accuracy over {config.n_runs} runs: "
           f"mean {report.mean:.4f} std {report.std:.4f}")
     return 0
@@ -415,10 +411,8 @@ def cmd_eval(args, out):
         private_clf = registry.private_classifier
         anonymize = make_anonymizer(registry, seed=args.seed)
     report = evaluate_utility_privacy(anonymize, test, public_clf, private_clf, meta.n_public)
-    with open(out.path("eval.csv"), "w", encoding="utf-8") as f:
-        f.write(report.to_csv())
-    with open(out.path("eval.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json() + "\n")
+    out.write_text("eval.csv", report.to_csv())
+    out.write_text("eval.json", report.to_json() + "\n")
     w = report.weighted
     print(f"weighted accuracy: public {w.public_before:.4f} -> {w.public_after:.4f}, "
           f"private {w.private_before:.4f} -> {w.private_after:.4f}")
@@ -443,16 +437,14 @@ def cmd_bench(args, out):
     print(report.to_table())
     print(f"time budget at {args.rate} Hz, stride {args.stride}: {budget:.1f} ms")
     print(f"real-time check: {verdict.describe()}")
-    with open(out.path("bench.json"), "w", encoding="utf-8") as f:
-        payload = json.loads(report.to_json())
-        payload["budget_ms"] = budget
-        payload["realtime"] = {
-            "passed": verdict.passed,
-            "p99_ms": verdict.p99_ms,
-            "margin_ms": verdict.margin_ms,
-        }
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    payload = json.loads(report.to_json())
+    payload["budget_ms"] = budget
+    payload["realtime"] = {
+        "passed": verdict.passed,
+        "p99_ms": verdict.p99_ms,
+        "margin_ms": verdict.margin_ms,
+    }
+    out.write_json("bench.json", payload)
     return 0
 
 
@@ -571,7 +563,7 @@ def main(argv=None):
         out.prepare()
         code = args.func(args, out)
         if code == 0:
-            out.write_config(args)
+            out.write_json("config.json", {k: v for k, v in vars(args).items() if k != "func"})
         return code
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,23 +21,18 @@ def write_framed(path, magic, version, header, *body):
         f.writelines((head, *body, _CRC.pack(crc)))
 
 
-def unframe(raw, magic, version, header_struct, error, legacy_version=None):
+def unframe(raw, magic, version, header_struct, error):
     """(header fields, body memoryview) of raw. Raises error on bad magic, a
-    short file, an unknown version or a CRC mismatch. A version byte equal to
-    legacy_version marks a file from before the CRC trailer: its body runs to
-    the end and is not checked."""
+    short file, an unknown version or a CRC mismatch."""
     name, start = magic.decode(), len(magic) + 1 + header_struct.size
     if raw[: len(magic)] != magic:
         raise error(f"bad magic {raw[:len(magic)]!r}, expected {magic!r}")
-    if len(raw) < start:
+    if len(raw) < start + _CRC.size:
         raise error(f"truncated {name} file")
-    found = raw[len(magic)]
-    if found not in (version, legacy_version):
-        raise error(f"unsupported {name} version {found}")
-    end = len(raw) - (0 if found == legacy_version else _CRC.size)
-    if end < start:
-        raise error(f"truncated {name} file")
-    if found == version and zlib.crc32(memoryview(raw)[:end]) != _CRC.unpack_from(raw, end)[0]:
+    if raw[len(magic)] != version:
+        raise error(f"unsupported {name} version {raw[len(magic)]}")
+    end = len(raw) - _CRC.size
+    if zlib.crc32(memoryview(raw)[:end]) != _CRC.unpack_from(raw, end)[0]:
         raise error(f"{name} checksum mismatch")
     return header_struct.unpack_from(raw, len(magic) + 1), memoryview(raw)[start:end]
 

@@ -8,8 +8,8 @@
     window * channels float64 values
     CRC32 of every byte before it
 
-Version 1 files lack the CRC and still load. The arrays are stored raw, so a
-round trip is bit-exact.
+Only version 2 loads; version 1 files, which lack the CRC, are rejected.
+The arrays are stored raw, so a round trip is bit-exact.
 """
 
 import struct
@@ -65,7 +65,7 @@ def save_embeddings(path, embeddings, meta):
 def load_embeddings(path):
     """Returns (embeddings, meta). Subject and origin provenance is not stored."""
     raw = Path(path).read_bytes()
-    header, body = container.unframe(raw, MAGIC, VERSION, _HEADER, ArchiveError, legacy_version=1)
+    header, body = container.unframe(raw, MAGIC, VERSION, _HEADER, ArchiveError)
     meta, count = ArchiveMeta(*header[:5]), header[5]
     records = container.records(body, _record_dtype(meta.dim), count, ArchiveError)
     bad = (records["public"] >= meta.n_public) | (records["private"] >= meta.n_private)

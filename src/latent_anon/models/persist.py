@@ -1,8 +1,8 @@
 """Model files in the shared checked frame (`latent_anon.container`): magic
 "LAMF1", version byte, the u64 length of the JSON metadata, the JSON (utf-8),
-the LANN1 tensor container, then the CRC32. A file without the magic is the
-bare payload (length, JSON, tensors) from before the frame and loads without
-the check. Tensors are raw float64, so round trips are bit-exact.
+the LANN1 tensor container, then the CRC32. A file without the magic, such
+as the bare payload (length, JSON, tensors) from before the frame, is
+rejected. Tensors are raw float64, so round trips are bit-exact.
 """
 
 import io
@@ -56,9 +56,7 @@ def save_model(path, model, training_seed=None):
 def load_model(path):
     """Rebuild a model from disk. Returns (model, metadata dict)."""
     raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):  # a bare payload: frame it as unchecked version 0
-        raw = MAGIC + b"\x00" + raw
-    (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError, 0)
+    (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError)
     if len(body) < meta_len:
         raise ContainerError("truncated model metadata")
     try:

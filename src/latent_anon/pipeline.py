@@ -20,8 +20,9 @@ form; streams and the stage timings through the row form.
 
 The latent is always sampled, z = mu + exp(logvar / 2) * noise, with the
 noise drawn from the caller's noise source; a source of zeros gives the
-posterior mean. Without a coin, probabilistic Modify flips the
-secure source, the default that ModifyPolicy.modify holds.
+posterior mean. A latent that is not finite raises ValueError before it is
+decoded, so no non-finite row is released. Without a coin, probabilistic
+Modify flips the secure source, the default that ModifyPolicy.modify holds.
 
 Every call returns the reconstructed embedding plus a provenance record of
 what was predicted and applied, one record per row.
@@ -172,6 +173,9 @@ def anonymize_embedding(
     t0 = perf_counter() if timed else 0.0
     i_prime, applied = registry.policy.modify(i, coin)
     z_hat = apply_transfer(z, registry.mean_table, u, i, i_prime)
+    # a log-variance above about 1,419 overflows exp(logvar / 2) to inf
+    if not math.isfinite(np.add.reduce(z_hat, axis=None)) and not np.isfinite(z_hat).all():
+        raise ValueError("non-finite value in the sampled latent")
     crc = zlib.crc32(
         z_hat
         if z_hat.dtype == "<f8" and z_hat.flags.c_contiguous
@@ -201,12 +205,7 @@ def _anonymize_rows(x, registry, index, noise_rng, coin):
     all rows; the rows are grouped by predicted public class for the VAE
     calls. A check that a row fails names the lowest such row."""
     n = x.shape[0]
-    # one reduction: the sum is finite only if every value is; a finite
-    # sum that overflows gets the exact check
-    if not math.isfinite(x.sum()):
-        bad = ~np.isfinite(x).all(axis=1)
-        if bad.any():
-            raise ValueError(f"embedding {index + int(bad.argmax())}: non-finite value in the row")
+    _check_finite(x, index, "the row")
     u = _predict(registry.public_classifier, x, index)
     i = _predict(registry.private_classifier, x, index)
     classes, first = np.unique(u, return_index=True)
@@ -239,8 +238,8 @@ def _anonymize_rows(x, registry, index, noise_rng, coin):
     latent_dim = table.latent_dim
     rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
     noise = rng.standard_normal((n, latent_dim))
-    outputs = np.empty((n, x.shape[1]))
-    crcs = [0] * n
+    z_hat = np.empty((n, latent_dim), dtype="<f8")
+    groups = []
     for c in classes.tolist():
         rows = np.flatnonzero(u == c)
         vae = registry.vaes[c]
@@ -249,22 +248,35 @@ def _anonymize_rows(x, registry, index, noise_rng, coin):
                 f"embedding {index + rows[0]}: latent has shape ({vae.latent_dim},), "
                 f"table expects ({latent_dim},)"
             )
-        z_hat = sample_latent(vae.encode(x[rows]), noise[rows])
+        z = sample_latent(vae.encode(x[rows]), noise[rows])
         # the transfer, row for row the arithmetic of apply_transfer
         shift = moved[rows]
         if shift.any():
             moving = rows[shift]
-            z_hat[shift] = z_hat[shift] - table.means[c, i[moving]] + table.means[c, t[moving]]
-        z_hat = np.ascontiguousarray(z_hat, dtype="<f8")
-        for k, z_row in zip(rows.tolist(), z_hat):
-            crcs[k] = zlib.crc32(z_row)
-        outputs[rows] = vae.decode(z_hat)
+            z[shift] = z[shift] - table.means[c, i[moving]] + table.means[c, t[moving]]
+        z_hat[rows] = z
+        groups.append((rows, vae))
+    _check_finite(z_hat, index, "the sampled latent")
+    crcs = [zlib.crc32(z_row) for z_row in z_hat]
+    outputs = np.empty((n, x.shape[1]))
+    for rows, vae in groups:
+        outputs[rows] = vae.decode(z_hat[rows])
 
     records = [
         AnonymizationRecord(index + k, *fields)
         for k, fields in enumerate(zip(u.tolist(), i.tolist(), targets, applied, crcs))
     ]
     return outputs, records
+
+
+def _check_finite(rows, index, what):
+    """Raise ValueError naming the first of the rows with a non-finite value.
+    One reduction: the sum is finite only if every value is; a finite sum
+    that overflows gets the exact check."""
+    if not math.isfinite(np.add.reduce(rows, axis=None)):
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise ValueError(f"embedding {index + int(bad.argmax())}: non-finite value in {what}")
 
 
 def _predict(classifier, x, index):

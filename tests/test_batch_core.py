@@ -19,6 +19,7 @@ from latent_anon.pipeline import (
     StageTimings,
     anonymize_batch,
     anonymize_embedding,
+    anonymize_stream,
 )
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
 
@@ -240,3 +241,40 @@ class TestBatchErrors:
         reg = registry(5, 2, 2, "deterministic", 0)
         with pytest.raises(ValueError, match="per row"):
             anonymize_embedding(self.rows(), reg, timings=StageTimings())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteLatent:
+    """A VAE whose log-variance overflows exp(logvar / 2) samples an inf or
+    NaN latent; every path fails on it before decoding instead of releasing
+    the row."""
+
+    def runaway(self, n_public=1, u=0):
+        reg = registry(5, n_public, 2, "deterministic", 0, unpredicted=False)
+        reg.vaes[u].logvar_head.b[:] = 2000.0
+        return reg
+
+    def test_row_raises(self):
+        reg = self.runaway()
+        with pytest.raises(ValueError, match=r"^non-finite value in the sampled latent$"):
+            anonymize_embedding(np.ones(5), reg, noise_rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sampled latent"):
+            anonymize_embedding(np.ones(5), reg, noise_rng=ZeroNoise())
+
+    def test_stream_names_the_window(self):
+        reg = self.runaway()
+        rows = [np.full(1, 0.5)] * 7
+        with pytest.raises(PipelineError, match=r"^window 0: non-finite value in the sampled latent$"):
+            next(anonymize_stream(rows, 5, 2, reg, noise_rng=np.random.default_rng(0)))
+
+    def test_batch_names_the_lowest_row(self):
+        x = np.random.default_rng(3).normal(size=(40, 5))
+        u = self.runaway(n_public=2).public_classifier.predict(x)
+        # only the VAE of the class row 0 does not predict runs away
+        reg = self.runaway(n_public=2, u=1 - u[0])
+        first = int(np.flatnonzero(u != u[0])[0])
+        with pytest.raises(ValueError, match=rf"^embedding {first + 10}: non-finite value in the sampled latent$"):
+            anonymize_embedding(x, reg, index=10, noise_rng=np.random.default_rng(0))
+        with pytest.raises(PipelineError, match=rf"^embedding {first}: .*sampled latent$"):
+            anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(0))

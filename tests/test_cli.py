@@ -191,6 +191,8 @@ class TestAnonymize:
         [
             (["0.1 0.2 0.3"] * 40, r"error: window 32 x 3 channels = 96 values, the models expect 64"),
             (["0.1 0.2"] * 20 + ["nan 0.2"] + ["0.1 0.2"] * 19, r"error: window 0: .*finite logits"),
+            (["0.1 0.2", "", "0.1 x"] + ["0.1 0.2"] * 40,
+             r"^error: line 3: could not convert string to float: 'x'$"),
         ],
     )
     def test_stream_errors_name_the_window(self, workspace, tmp_path, capsys, lines, expected):
@@ -288,7 +290,58 @@ class TestEvalAttackBench:
         assert not (out / "bench.json").exists()
 
 
+class TestOutputFormats:
+    # the first line of each CSV, line ending included: csv.writer ends rows
+    # in CRLF, the report writers in LF
+    CSV_HEADERS = {
+        "losses.csv": "model,epoch,loss\r\n",
+        "records.csv": "index,predicted_public,predicted_private,target_private,applied,zhat_crc32\r\n",
+        "grid.csv": "alpha,beta,avg_loss\r\n",
+        "runs.csv": "run,accuracy\n",
+        "eval.csv": "public_class,n,public_before,public_after,private_before,private_after\n",
+    }
+
+    def test_json_and_csv_layouts(self, workspace, tmp_path):
+        common = ["--archive", str(workspace["data"]), "--models", str(workspace["models"]),
+                  "--table", str(workspace["table"])]
+        for argv in (
+            ["anonymize", *common, "--mode", "det"],
+            ["gridsearch", "--archive", str(workspace["data"]), "--alphas", "1", "--betas", "1",
+             "--epochs", "1"],
+            ["eval", *common, "--mode", "det"],
+            ["attack", *common, "--runs", "1", "--epochs", "1"],
+            ["bench", *common, "--count", "4", "--warmup", "0", "--reps", "1"],
+        ):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+        dirs = [workspace["data"], workspace["models"], workspace["table"].parent,
+                *tmp_path.iterdir()]
+        outputs = [p for d in dirs for p in d.iterdir()]
+        assert set(self.CSV_HEADERS) | {"config.json", "manifest.json", "metrics.json",
+                                        "best.json", "summary.json", "eval.json",
+                                        "bench.json"} <= {p.name for p in outputs}
+        for p in outputs:
+            if p.suffix == ".json":
+                text = p.read_bytes().decode("utf-8")
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", p
+            elif p.suffix == ".csv":
+                assert p.read_bytes().decode("utf-8").startswith(self.CSV_HEADERS[p.name]), p
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_invalid_thread_cap_is_an_error(self, workspace, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("LATENT_ANON_THREADS", value)
+        out = tmp_path / "attack"
+        code = main([
+            "attack", "--archive", str(workspace["data"]), "--models", str(workspace["models"]),
+            "--table", str(workspace["table"]), "--runs", "1", "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: LATENT_ANON_THREADS must be an integer >= 1, got {value!r}\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_unreadable_archive(self, tmp_path, capsys):
         code = main([
             "train", "--archive", str(tmp_path / "nope"), "--out", str(tmp_path / "models"),

@@ -1,6 +1,6 @@
 """The checked frame shared by EMBA archives, ZBAR1 tables and model files:
 corruption and truncation fail with each format's named error, and files
-written before the frame existed still load bit for bit."""
+written before the frame existed, which carry no checksum, are rejected."""
 
 import io
 import json
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_anon.container import write_framed
 from latent_anon.data import ArchiveError, ArchiveMeta, Embedding, load_embeddings, save_embeddings
 from latent_anon.models import Classifier, load_model, save_model
 from latent_anon.nn import ContainerError
@@ -98,16 +99,11 @@ def v1_archive_bytes(embeddings, meta):
 
 
 class TestLegacyFiles:
-    def test_v1_archive_loads_bitwise(self, tmp_path):
-        embeddings = archive_embeddings(seed=7, n=9)
+    def test_v1_archive_rejected(self, tmp_path):
         path = tmp_path / "v1.emba"
-        path.write_bytes(v1_archive_bytes(embeddings, META))
-        loaded, meta = load_embeddings(path)
-        assert meta == META
-        assert len(loaded) == len(embeddings)
-        for a, b in zip(embeddings, loaded):
-            assert b.x.tobytes() == a.x.tobytes()
-            assert (b.true_public, b.true_private) == (a.true_public, a.true_private)
+        path.write_bytes(v1_archive_bytes(archive_embeddings(seed=7, n=9), META))
+        with pytest.raises(ArchiveError, match="^unsupported EMBA1 version 1$"):
+            load_embeddings(path)
 
     def test_v1_archive_truncation_still_detected(self, tmp_path):
         path = tmp_path / "v1.emba"
@@ -125,24 +121,22 @@ class TestLegacyFiles:
         with pytest.raises(ArchiveError):
             load_embeddings(path)
 
-    def test_bare_model_file_loads_bitwise(self, tmp_path):
-        model = small_classifier()
+    def test_bare_model_file_rejected(self, tmp_path):
+        # the payload of a model file as written before the frame
         meta = {"kind": "classifier", "attribute": "private", "input_dim": 4, "n_classes": 2,
                 "hidden": [3], "seed": 4}
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         tensors = io.BytesIO()
-        write_tensors(tensors, model.named_tensors())
+        write_tensors(tensors, small_classifier().named_tensors())
         path = tmp_path / "bare.lann"
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + tensors.getvalue())
-        loaded, loaded_meta = load_model(path)
-        assert loaded_meta == meta
-        for a, b in zip(model.parameters(), loaded.parameters()):
-            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ContainerError, match=r"^bad magic .*, expected b'LAMF1'$"):
+            load_model(path)
 
     def test_short_bare_model_file_rejected(self, tmp_path):
         path = tmp_path / "bare.lann"
         path.write_bytes(b"\x05\x00\x00")
-        with pytest.raises(ContainerError, match="truncated"):
+        with pytest.raises(ContainerError, match="bad magic"):
             load_model(path)
 
 
@@ -160,9 +154,12 @@ class TestArchiveRecords:
         assert loaded[1].x.tobytes() == embeddings[1].x.tobytes()
 
     def test_label_outside_declared_counts_rejected(self, tmp_path):
+        # a valid frame around a body that save_embeddings would not write
         embeddings = archive_embeddings()
         embeddings[4] = Embedding(x=embeddings[4].x, true_public=2, true_private=5)
-        path = tmp_path / "v1.emba"
-        path.write_bytes(v1_archive_bytes(embeddings, META))
+        v1 = v1_archive_bytes(embeddings, META)
+        start = 6 + struct.calcsize("<IIIIIQ")  # magic, version, header
+        path = tmp_path / "data.emba"
+        write_framed(path, b"EMBA1", 2, v1[6:start], v1[start:])
         with pytest.raises(ArchiveError, match="embedding 4"):
             load_embeddings(path)
