@@ -28,9 +28,8 @@ from .data.types import LabelSpace
 from .data.synth import SynthConfig, synth_generate
 from .data.windowing import window_embeddings
 from .models.gridsearch import grid_search
-from .models.persist import load_model, save_model
+from .models.persist import ContainerError, load_model, save_model
 from .models.training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
-from .nn.serialize import ContainerError
 from .pipeline import (
     ModelRegistry,
     PipelineError,
@@ -127,14 +126,31 @@ def _load_split_archives(archive_arg):
     return train, test, meta
 
 
+def _describe_model(kind, label):
+    return f"the VAE of public class {label!r}" if kind == "vae" else f"the {label} classifier"
+
+
+def _load_named_model(path, kind, label):
+    """The model in path, which must be the one its file name says: a VAE of
+    public class label or a classifier of attribute label."""
+    model, meta = load_model(path)
+    held = (meta["kind"], meta["public_class"] if meta["kind"] == "vae" else meta["attribute"])
+    if held != (kind, label):
+        raise ContainerError(
+            f"{path} holds {_describe_model(*held)}, expected {_describe_model(kind, label)}"
+        )
+    return model
+
+
 def _load_models_dir(models_dir):
     models_dir = Path(models_dir)
-    public, _ = load_model(models_dir / "public_classifier.lann")
-    private, _ = load_model(models_dir / "private_classifier.lann")
+    public = _load_named_model(models_dir / "public_classifier.lann", "classifier", "public")
+    private = _load_named_model(models_dir / "private_classifier.lann", "classifier", "private")
     vaes = {}
     for path in sorted(models_dir.glob("vae_u*.lann")):
-        model, meta = load_model(path)
-        vaes[meta["public_class"]] = model
+        label = path.stem[len("vae_u"):]
+        u = int(label) if label.isdecimal() else label
+        vaes[u] = _load_named_model(path, "vae", u)
     if not vaes:
         raise ContainerError(f"no vae_u*.lann files in {models_dir}")
     return vaes, public, private

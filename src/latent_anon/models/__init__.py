@@ -1,6 +1,6 @@
 from .classifier import Classifier
 from .gridsearch import GridEntry, GridSearchResult, grid_search
-from .persist import load_model, save_model
+from .persist import ContainerError, load_model, save_model
 from .training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
 from .vae import (
     LatentDistribution,
@@ -14,6 +14,7 @@ from .vae import (
 
 __all__ = [
     "Classifier",
+    "ContainerError",
     "GridEntry",
     "GridSearchResult",
     "LatentDistribution",

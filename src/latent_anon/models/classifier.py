@@ -43,13 +43,6 @@ class Classifier:
     def parameters(self):
         return self.mlp.parameters()
 
-    def named_tensors(self):
-        out = {}
-        for k, layer in enumerate(self.mlp.layers):
-            out[f"mlp.{k}.W"] = layer.W
-            out[f"mlp.{k}.b"] = layer.b
-        return out
-
     def predict_proba(self, x):
         """Class probabilities of one vector (n,) or of each row of a batch."""
         return self.mlp.infer(x)

@@ -1,23 +1,31 @@
 """Model files in the shared checked frame (`latent_anon.container`): magic
 "LAMF1", version byte, the u64 length of the JSON metadata, the JSON (utf-8),
-the LANN1 tensor container, then the CRC32. A file without the magic, such
-as the bare payload (length, JSON, tensors) from before the frame, is
-rejected. Tensors are raw float64, so round trips are bit-exact.
+the model's parameter_vector as float64 little-endian in parameters() order,
+then the CRC32. The JSON (kind, dims, hidden sizes) fixes every tensor's
+shape and offset in the vector, so the body holds no tensor names. Files of
+version 1 and files without the magic, such as the bare payload from before
+the frame, are rejected. Parameters are raw float64, so round trips are
+bit-exact.
 """
 
-import io
 import json
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from .. import container
-from ..nn.serialize import ContainerError, read_tensors, write_tensors
 from .classifier import Classifier
 from .vae import VaeModel
 
 MAGIC = b"LAMF1"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<Q")  # length of the JSON blob
+_PARAMETER = np.dtype("<f8")
+
+
+class ContainerError(ValueError):
+    """Malformed, truncated or mismatched model file."""
 
 
 def _meta_for(model, training_seed):
@@ -48,9 +56,8 @@ def _meta_for(model, training_seed):
 def save_model(path, model, training_seed=None):
     meta = _meta_for(model, training_seed)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tensors = io.BytesIO()
-    write_tensors(tensors, model.named_tensors())
-    container.write_framed(path, MAGIC, VERSION, _HEADER.pack(len(blob)), blob, tensors.getbuffer())
+    params = model.parameter_vector.astype(_PARAMETER, copy=False)
+    container.write_framed(path, MAGIC, VERSION, _HEADER.pack(len(blob)), blob, params)
 
 
 def load_model(path):
@@ -63,7 +70,6 @@ def load_model(path):
         meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ContainerError(f"model metadata is not utf-8 JSON: {exc}") from None
-    tensors = read_tensors(io.BytesIO(body[meta_len:]))
 
     if not isinstance(meta, dict):
         raise ContainerError("model metadata is not a JSON object")
@@ -96,12 +102,6 @@ def load_model(path):
     if model is None:
         raise ContainerError(f"unknown model kind {meta['kind']!r}")
 
-    slots = model.named_tensors()
-    if set(slots) != set(tensors):
-        raise ContainerError("tensor names do not match the model architecture")
-    for name, slot in slots.items():
-        value = tensors[name]
-        if value.shape != slot.shape:
-            raise ContainerError(f"tensor {name!r} has shape {value.shape}, expected {slot.shape}")
-        slot[...] = value
+    params = model.parameter_vector
+    params[:] = container.records(body[meta_len:], _PARAMETER, params.size, ContainerError)
     return model, meta

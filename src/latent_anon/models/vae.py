@@ -140,21 +140,6 @@ class VaeModel:
     def parameters(self):
         return [p for layer in self._layers() for p in layer.parameters()]
 
-    def named_tensors(self):
-        out = {}
-        for prefix, mlp in (("encoder", self.encoder), ("decoder", self.decoder)):
-            for k, layer in enumerate(mlp.layers):
-                out[f"{prefix}.{k}.W"] = layer.W
-                out[f"{prefix}.{k}.b"] = layer.b
-        for prefix, layer in (
-            ("mu_head", self.mu_head),
-            ("logvar_head", self.logvar_head),
-            ("class_head", self.class_head),
-        ):
-            out[f"{prefix}.W"] = layer.W
-            out[f"{prefix}.b"] = layer.b
-        return out
-
     def encode(self, x):
         """Deterministic map to the posterior parameters (mu, logvar) of one
         vector (n,) or of each row of a batch."""

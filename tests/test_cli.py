@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -340,6 +341,39 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"error: LATENT_ANON_THREADS must be an integer >= 1, got {value!r}\n"
         )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "copies, message",
+        [
+            ({"vae_u0.lann": "public_classifier.lann"},
+             "vae_u0.lann holds the public classifier, expected the VAE of public class 0"),
+            ({"public_classifier.lann": "vae_u0.lann"},
+             "public_classifier.lann holds the VAE of public class 0, "
+             "expected the public classifier"),
+            ({"public_classifier.lann": "private_classifier.lann",
+              "private_classifier.lann": "public_classifier.lann"},
+             "public_classifier.lann holds the private classifier, "
+             "expected the public classifier"),
+            ({"vae_u1.lann": "vae_u0.lann"},
+             "vae_u1.lann holds the VAE of public class 0, expected the VAE of public class 1"),
+        ],
+        ids=["classifier-as-vae", "vae-as-classifier", "swapped-classifiers", "vae-of-other-class"],
+    )
+    def test_model_file_holding_another_model(self, workspace, tmp_path, capsys, copies, message):
+        # U == M here, so swapped classifiers pass validate_registry
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        for name, source in copies.items():
+            (models / name).write_bytes((workspace["models"] / source).read_bytes())
+        out = tmp_path / "anon"
+        code = main([
+            "anonymize", "--archive", str(workspace["data"]), "--models", str(models),
+            "--table", str(workspace["table"]), "--mode", "det", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {models}") and err.endswith(f"{message}\n")
         assert list(out.iterdir()) == []
 
     def test_unreadable_archive(self, tmp_path, capsys):

@@ -2,7 +2,6 @@
 corruption and truncation fail with each format's named error, and files
 written before the frame existed, which carry no checksum, are rejected."""
 
-import io
 import json
 import struct
 
@@ -13,9 +12,7 @@ from hypothesis import strategies as st
 
 from latent_anon.container import write_framed
 from latent_anon.data import ArchiveError, ArchiveMeta, Embedding, load_embeddings, save_embeddings
-from latent_anon.models import Classifier, load_model, save_model
-from latent_anon.nn import ContainerError
-from latent_anon.nn.serialize import write_tensors
+from latent_anon.models import Classifier, ContainerError, load_model, save_model
 from latent_anon.transform import MeanLatentTable, TableError, load_table, save_table
 
 META = ArchiveMeta(window=3, stride=1, n_channels=2, n_public=3, n_private=2)
@@ -126,10 +123,9 @@ class TestLegacyFiles:
         meta = {"kind": "classifier", "attribute": "private", "input_dim": 4, "n_classes": 2,
                 "hidden": [3], "seed": 4}
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        tensors = io.BytesIO()
-        write_tensors(tensors, small_classifier().named_tensors())
+        params = small_classifier().parameter_vector.astype("<f8").tobytes()
         path = tmp_path / "bare.lann"
-        path.write_bytes(struct.pack("<Q", len(blob)) + blob + tensors.getvalue())
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + params)
         with pytest.raises(ContainerError, match=r"^bad magic .*, expected b'LAMF1'$"):
             load_model(path)
 

@@ -1,9 +1,7 @@
 """Dense-network numerics: forward passes, losses, reverse-mode gradients,
 optimizer steps and the finite-difference oracle."""
 
-import io
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -13,14 +11,12 @@ from hypothesis import strategies as st
 from latent_anon.nn import (
     MLP,
     Adam,
-    ContainerError,
     Dense,
     cross_entropy_from_labels,
     grad_check,
     softmax,
     squared_error,
 )
-from latent_anon.nn.serialize import read_tensors, write_tensors
 
 
 def make_dense(w, b, activation="identity"):
@@ -353,51 +349,3 @@ class TestOptimizers:
         p = np.array([0.0, 0.0])
         Adam(learning_rate=0.01).step([p], [np.array([1.0, -1.0])])
         assert p[0] < 0.0 < p[1]
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        tensors = {
-            "encoder.0.W": rng.standard_normal((4, 3)),
-            "encoder.0.b": rng.standard_normal(4),
-            "scalarish": rng.standard_normal(1),
-        }
-        path = tmp_path / "params.lann"
-        with open(path, "wb") as f:
-            write_tensors(f, tensors)
-        with open(path, "rb") as f:
-            loaded = read_tensors(f)
-        assert list(loaded) == list(tensors)
-        for name in tensors:
-            assert loaded[name].tobytes() == tensors[name].tobytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.lann"
-        path.write_bytes(b"NOPE1" + b"\x00" * 16)
-        with open(path, "rb") as f, pytest.raises(ContainerError):
-            read_tensors(f)
-
-    def test_truncation(self, tmp_path):
-        path = tmp_path / "params.lann"
-        with open(path, "wb") as f:
-            write_tensors(f, {"w": np.ones((3, 3))})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        with open(path, "rb") as f, pytest.raises(ContainerError):
-            read_tensors(f)
-
-    @pytest.mark.parametrize(
-        "header, message",
-        [
-            (struct.pack("<Q", 2**63) + b"w", "tensor name"),
-            (struct.pack("<Q", 1) + b"\xff" + struct.pack("<Q", 0), "utf-8"),
-            (struct.pack("<QsQ", 1, b"w", 2**61), "dims"),
-            (struct.pack("<QsQQQ", 1, b"w", 2, 2**62, 2**62), "elements"),
-            (struct.pack("<QsQQQ", 1, b"w", 2, 0, 2**64 - 1), "unusable dims"),
-        ],
-        ids=["name-length", "name-utf8", "rank", "element-count", "zero-size-huge-dim"],
-    )
-    def test_corrupt_header_raises_container_error(self, header, message):
-        with pytest.raises(ContainerError, match=message):
-            read_tensors(io.BytesIO(b"LANN1" + header + b"\x00" * 16))

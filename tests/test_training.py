@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from latent_anon.models import (
     train_classifier,
     train_vae,
 )
-from latent_anon.models import VaeModel, persist
-from latent_anon.nn import ContainerError
+from latent_anon.models import ContainerError, VaeModel, persist
 
 
 def synth_embeddings(n_public=1, n_private=2, subjects=4, seed=0, noise=0.05, trials=1, channels=2):
@@ -41,6 +41,46 @@ def synth_embeddings(n_public=1, n_private=2, subjects=4, seed=0, noise=0.05, tr
 
 def model_bytes(model):
     return b"".join(np.ascontiguousarray(p).tobytes() for p in model.parameters())
+
+
+def model_payload(path):
+    """(JSON blob, parameter bytes) of a model file."""
+    (meta_len,), body = unframe(
+        path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+    )
+    return bytes(body[:meta_len]), bytes(body[meta_len:])
+
+
+def reframe(path, blob, params, version=persist.VERSION):
+    """Write blob and params as a model file with a valid checksum."""
+    write_framed(path, persist.MAGIC, version, struct.pack("<Q", len(blob)), blob, params)
+
+
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_SEED = 11
+
+
+def golden_model(kind):
+    """The model of the committed golden file GOLDEN / f"{kind}_v2.lann",
+    saved with training_seed=GOLDEN_SEED: its parameter vector is
+    arange(n) / 7, so the bytes depend on no random generator. Regenerate
+    the files only when the model file format changes on purpose."""
+    rng = np.random.default_rng(0)
+    if kind == "vae":
+        model = VaeModel(4, 2, 3, public_class=1, hidden=(5, 3), rng=rng, alpha=1.5, beta=0.5)
+    else:
+        model = Classifier(4, 3, "private", hidden=(5, 2), rng=rng)
+    model.parameter_vector[:] = np.arange(model.parameter_vector.size) / 7
+    return model
+
+
+def pinned_layers(model):
+    """The on-disk order of a model's layers, each stored as W then b. A
+    model that reorders them would read old files into the wrong tensors."""
+    if isinstance(model, VaeModel):
+        return [*model.encoder.layers, model.mu_head, model.logvar_head,
+                *model.decoder.layers, model.class_head]
+    return model.mlp.layers
 
 
 class TestDeriveSeed:
@@ -234,13 +274,8 @@ class TestPersistence:
     def test_bad_header_raises_container_error(self, tmp_path, edit, message):
         path = tmp_path / "clf.lann"
         save_model(path, Classifier(4, 2, "public", rng=np.random.default_rng(0)))
-        (meta_len,), body = unframe(
-            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
-        )
-        meta = json.loads(bytes(body[:meta_len]))
-        blob = json.dumps(edit(meta)).encode("utf-8")
-        head, tensors = struct.pack("<Q", len(blob)), bytes(body[meta_len:])
-        write_framed(path, persist.MAGIC, persist.VERSION, head, blob, tensors)
+        blob, params = model_payload(path)
+        reframe(path, json.dumps(edit(json.loads(blob))).encode("utf-8"), params)
         with pytest.raises(ContainerError, match=message):
             load_model(path)
 
@@ -253,10 +288,10 @@ class TestPersistence:
         ids=["classifier", "vae"],
     )
     def test_bare_file_byte_flips_raise_container_error(self, tmp_path, model):
-        # a flip in the bare payload (length, JSON, tensors), framed again
-        # with a fresh checksum, gets past the CRC to the JSON header and
-        # read_tensors: it either loads or fails with the named error,
-        # never with another exception
+        # a flip in the bare payload (length, JSON, parameter vector), framed
+        # again with a fresh checksum, gets past the CRC to the JSON header
+        # and the size check of the vector: it either loads or fails with
+        # the named error, never with another exception
         path = tmp_path / "model.lann"
         save_model(path, model, training_seed=3)
         size = struct.calcsize("<Q")  # the JSON length
@@ -274,3 +309,44 @@ class TestPersistence:
                 except Exception as exc:  # noqa: BLE001 - collected for the report
                     escaped.append((pos, mask, type(exc).__name__, str(exc)[:60]))
         assert escaped == []
+
+
+@pytest.mark.parametrize("kind", ["classifier", "vae"])
+class TestModelFileLayout:
+    def test_golden_file(self, tmp_path, kind):
+        name = f"{kind}_v2.lann"
+        path = tmp_path / name
+        save_model(path, golden_model(kind), training_seed=GOLDEN_SEED)
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+        loaded, meta = load_model(GOLDEN / name)
+        expected = (np.arange(loaded.parameter_vector.size) / 7).tobytes()
+        assert loaded.parameter_vector.tobytes() == expected
+        pinned = [p.ravel() for layer in pinned_layers(loaded) for p in (layer.W, layer.b)]
+        assert np.concatenate(pinned).tobytes() == expected
+        assert (meta["kind"], meta["seed"]) == (kind, GOLDEN_SEED)
+
+    def test_body_is_the_parameter_vector(self, tmp_path, kind):
+        rng = np.random.default_rng(8)
+        model = VaeModel(5, 2, 2, rng=rng) if kind == "vae" else Classifier(5, 2, rng=rng)
+        path = tmp_path / "model.lann"
+        save_model(path, model)
+        blob, params = model_payload(path)
+        assert json.loads(blob)["kind"] == kind
+        assert params == model.parameter_vector.astype("<f8").tobytes()
+
+    def test_version_1_frame_rejected(self, tmp_path, kind):
+        path = tmp_path / "model.lann"
+        save_model(path, golden_model(kind))
+        reframe(path, *model_payload(path), version=1)
+        with pytest.raises(ContainerError, match="^unsupported LAMF1 version 1$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("resize", [lambda p: p[:-8], lambda p: p + p[:8]],
+                             ids=["one-float-short", "one-float-long"])
+    def test_wrong_parameter_count_rejected(self, tmp_path, kind, resize):
+        path = tmp_path / "model.lann"
+        save_model(path, golden_model(kind))
+        blob, params = model_payload(path)
+        reframe(path, blob, resize(params))
+        with pytest.raises(ContainerError, match=f"expected {len(params) // 8} records of 8"):
+            load_model(path)
