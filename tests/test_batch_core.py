@@ -1,6 +1,7 @@
 """Differential tests of the batch core against the per-row path: a (B, D)
-call of anonymize_embedding against the same rows run one by one over one
-noise generator and one coin. Summation order in the batched matmuls may
+call of anonymize_embedding against the same rows run one by one through
+the replaced row path (reference_pipeline) over one noise generator and one
+coin. Summation order in the batched matmuls may
 differ, so outputs must agree within 1e-8; predicted classes, targets and
 applied flags must be equal on every row. A one-row batch at the deployed
 widths equals the row call bitwise, its latent CRC included."""
@@ -22,6 +23,7 @@ from latent_anon.pipeline import (
     anonymize_stream,
 )
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
+from reference_pipeline import reference_anonymize_embedding
 
 seeds = st.integers(0, 2**32 - 1)
 ATOL = 1e-8
@@ -64,7 +66,7 @@ def registry(dim, n_public, n_private, mode, seed, hidden=(6, 4), latent=3, unpr
 def per_row(x, reg, seed, flips, zeros=False, index=0):
     noise, coin = noise_source(zeros, seed), SequenceCoin(flips)
     results = [
-        anonymize_embedding(row, reg, index=index + k, noise_rng=noise, coin=coin)
+        reference_anonymize_embedding(row, reg, index=index + k, noise_rng=noise, coin=coin)
         for k, row in enumerate(x)
     ]
     return np.stack([x_hat for x_hat, _ in results]), [record for _, record in results]

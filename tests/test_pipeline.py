@@ -25,6 +25,7 @@ from latent_anon.transform import (
     SequenceCoin,
     compute_mean_table,
 )
+from reference_pipeline import reference_anonymize_embedding
 
 
 class ZeroNoise:
@@ -214,7 +215,7 @@ class TestAnonymizeBatch:
     def test_batch_of_one_equals_single_call(self):
         registry = passthrough_registry()
         x = np.array([1.0, 0.0, 0.0])
-        single, _ = anonymize_embedding(x, registry, noise_rng=np.random.default_rng(3))
+        single, _ = reference_anonymize_embedding(x, registry, noise_rng=np.random.default_rng(3))
         batch, _ = anonymize_batch([x], registry, noise_rng=np.random.default_rng(3))
         assert batch[0].tobytes() == single.tobytes()
 
@@ -229,7 +230,7 @@ class TestAnonymizeBatch:
         seq_rng = np.random.default_rng(5)
         seq_coin = SequenceCoin(flips)
         for k, x in enumerate(xs):
-            x_hat, record = anonymize_embedding(
+            x_hat, record = reference_anonymize_embedding(
                 x, registry, index=k, noise_rng=seq_rng, coin=seq_coin
             )
             assert batch_out[k].tobytes() == x_hat.tobytes()
