@@ -34,11 +34,16 @@ class Classifier:
         self.attribute = attribute
         self.hidden = hidden
         self.mlp = MLP(
-            [input_dim, *hidden, n_classes],
+            self.layer_sizes(input_dim, n_classes, hidden)[0],
             ["relu"] * len(hidden) + ["softmax"],
             rng,
         )
         self.parameter_vector = flatten_parameters(self.mlp.layers)
+
+    @staticmethod
+    def layer_sizes(input_dim, n_classes, hidden):
+        """Widths, input to output, of the one MLP, as VaeModel.layer_sizes."""
+        return [[input_dim, *hidden, n_classes]]
 
     def parameters(self):
         return self.mlp.parameters()

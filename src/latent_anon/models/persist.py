@@ -9,6 +9,7 @@ bit-exact.
 """
 
 import json
+import operator
 import struct
 from pathlib import Path
 
@@ -61,7 +62,9 @@ def save_model(path, model, training_seed=None):
 
 
 def load_model(path):
-    """Rebuild a model from disk. Returns (model, metadata dict)."""
+    """Rebuild a model from disk. Returns (model, metadata dict). The body's
+    size is checked against the parameter count the metadata's dims imply
+    before the model is built, so no dims allocate more than the file holds."""
     raw = Path(path).read_bytes()
     (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError)
     if len(body) < meta_len:
@@ -75,33 +78,28 @@ def load_model(path):
         raise ContainerError("model metadata is not a JSON object")
     try:
         if meta["kind"] == "vae":
-            model = VaeModel(
-                input_dim=meta["input_dim"],
-                latent_dim=meta["latent_dim"],
-                n_private=meta["n_private"],
-                public_class=meta["public_class"],
-                hidden=tuple(meta["hidden"]),
-                alpha=meta["alpha"],
-                beta=meta["beta"],
-            )
+            model_type, dims = VaeModel, (meta["input_dim"], meta["latent_dim"], meta["n_private"])
+            options = dict(public_class=meta["public_class"], alpha=meta["alpha"], beta=meta["beta"])
         elif meta["kind"] == "classifier":
-            model = Classifier(
-                input_dim=meta["input_dim"],
-                n_classes=meta["n_classes"],
-                attribute=meta["attribute"],
-                hidden=tuple(meta["hidden"]),
-            )
+            model_type, dims = Classifier, (meta["input_dim"], meta["n_classes"])
+            options = dict(attribute=meta["attribute"])
         else:
-            model = None
+            raise ContainerError(f"unknown model kind {meta['kind']!r}")
+        hidden = tuple(meta["hidden"])
+        count = sum(
+            (operator.index(n_in) + 1) * operator.index(n_out)
+            for widths in model_type.layer_sizes(*dims, hidden)
+            for n_in, n_out in zip(widths, widths[1:])
+        )
+        params = container.records(body[meta_len:], _PARAMETER, count, ContainerError)
+        model = model_type(*dims, hidden=hidden, **options)
+    except ContainerError:
+        raise
     except KeyError as exc:
         raise ContainerError(f"model metadata lacks key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ContainerError(f"model metadata {meta} has a wrongly typed value: {exc}") from None
     except ValueError as exc:
         raise ContainerError(f"model metadata {meta} has an invalid value: {exc}") from None
-    if model is None:
-        raise ContainerError(f"unknown model kind {meta['kind']!r}")
-
-    params = model.parameter_vector
-    params[:] = container.records(body[meta_len:], _PARAMETER, params.size, ContainerError)
+    model.parameter_vector[:] = params
     return model, meta

@@ -108,8 +108,9 @@ class VaeModel:
         if rng is None:
             rng = np.random.default_rng()
         hidden = tuple(hidden)
-        if not hidden:
-            raise ValueError("need at least one hidden layer")
+        encoder, mu_head, logvar_head, decoder, class_head = self.layer_sizes(
+            input_dim, latent_dim, n_private, hidden
+        )
         self.input_dim = input_dim
         self.latent_dim = latent_dim
         self.n_private = n_private
@@ -117,16 +118,22 @@ class VaeModel:
         self.hidden = hidden
         self.alpha = alpha
         self.beta = beta
-        self.encoder = MLP([input_dim, *hidden], ["tanh"] * len(hidden), rng)
-        self.mu_head = Dense(hidden[-1], latent_dim, "identity", rng)
-        self.logvar_head = Dense(hidden[-1], latent_dim, "identity", rng)
-        self.decoder = MLP(
-            [latent_dim, *hidden[::-1], input_dim],
-            ["tanh"] * len(hidden) + ["identity"],
-            rng,
-        )
-        self.class_head = Dense(latent_dim, n_private, "softmax", rng)
+        self.encoder = MLP(encoder, ["tanh"] * len(hidden), rng)
+        self.mu_head = Dense(*mu_head, "identity", rng)
+        self.logvar_head = Dense(*logvar_head, "identity", rng)
+        self.decoder = MLP(decoder, ["tanh"] * len(hidden) + ["identity"], rng)
+        self.class_head = Dense(*class_head, "softmax", rng)
         self.parameter_vector = flatten_parameters(self._layers())
+
+    @staticmethod
+    def layer_sizes(input_dim, latent_dim, n_private, hidden):
+        """Widths, input to output, of the encoder, the mu and logvar heads,
+        the decoder and the class head: the layers in parameters() order."""
+        if not hidden:
+            raise ValueError("need at least one hidden layer")
+        head = [hidden[-1], latent_dim]
+        decoder = [latent_dim, *hidden[::-1], input_dim]
+        return [[input_dim, *hidden], head, head, decoder, [latent_dim, n_private]]
 
     def _layers(self):
         return [

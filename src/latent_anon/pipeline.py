@@ -10,13 +10,14 @@ For each embedding the six steps run in order:
     5. shift the latent: z_hat = z - mean(u, i) + mean(u, i'),
     6. decode z_hat with the decoder of class u.
 
-anonymize_embedding runs them on one (D,) row or on a (B, D) batch. A batch
-takes each step once for all rows: both classifiers see the whole batch, the
-rows are grouped by predicted u so each group makes one encode and one
-decode call, the noise is one (B, J) draw, and Modify still flips one coin
-per row in row order. The outputs equal the row-by-row path up to float
-summation order. Batches, archives and the attack go through the batch
-form; streams and the stage timings through the row form.
+anonymize_embedding is their one implementation, which rows, streams,
+batches, archives, the attack and the stage timings all run. A (D,) row is
+one group, every model call on the vector. A (B, D) batch takes each step
+once for all rows: both classifiers see the whole batch, the rows are
+grouped by predicted u so each group makes one encode and one decode call,
+the noise is one (B, J) draw, and Modify still flips one coin per row in
+row order. Its outputs equal those of its rows one by one up to float
+summation order.
 
 The latent is always sampled, z = mu + exp(logvar / 2) * noise, with the
 noise drawn from the caller's noise source; a source of zeros gives the
@@ -36,7 +37,7 @@ from time import perf_counter
 import numpy as np
 
 from .models.vae import sample_latent
-from .transform import TableError, apply_transfer, compute_mean_table
+from .transform import TableError, compute_mean_table
 
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
@@ -130,177 +131,155 @@ def anonymize_embedding(
     of the models' input width, or on each row of a nonempty (B, D) batch;
     any other shape raises ValueError naming it.
 
-    A row gives (x_hat, record); a batch gives ((B, D) outputs, records
-    numbered index, index + 1, ...), and a failure that one row causes
-    names that row as "embedding index + k". noise_rng provides the
-    standard-normal draw for the latent sample, row after row; a source
-    whose standard_normal returns zeros gives the posterior mean. The coin
-    drives probabilistic Modify, one flip per row in row order; None leaves
-    the default, the secure source, to ModifyPolicy.modify. timings, a
-    StageTimings, collects per-stage times of a row; a batch with timings
-    raises ValueError.
+    A row gives (x_hat, record) and makes every model call on the vector; a
+    batch gives ((B, D) outputs, records numbered index, index + 1, ...)
+    and calls each classifier once and each VAE once per predicted public
+    class. A failure names the lowest row that causes it as
+    "embedding index + k". noise_rng provides the standard-normal draw for
+    the latent sample, row after row; a source whose standard_normal
+    returns zeros gives the posterior mean. The coin drives probabilistic
+    Modify, one flip per row in row order; None leaves the default, the
+    secure source, to ModifyPolicy.modify. timings, a StageTimings,
+    collects one sample per stage of the call.
     """
     x = np.asarray(x, dtype=float)
     dim = registry.public_classifier.input_dim
-    if x.shape != (dim,):
-        if x.ndim != 2 or x.shape[1] != dim or not x.shape[0]:
-            raise ValueError(f"expected a ({dim},) row or a (B, {dim}) batch, got shape {x.shape}")
-        if timings is not None:
-            raise ValueError("stage timings are per row; a batch cannot record them")
-        return _anonymize_rows(x, registry, index, noise_rng, coin)
+    if x.shape != (dim,) and (x.ndim != 2 or x.shape[1] != dim or not x.shape[0]):
+        raise ValueError(f"expected a ({dim},) row or a (B, {dim}) batch, got shape {x.shape}")
+    _check_finite(x, index, "the row")
     timed = timings is not None
 
     t0 = perf_counter() if timed else 0.0
-    u = registry.public_classifier.predict(x)
+    u = _predict(registry.public_classifier, x, index)
     if timed:
         timings.add("classify_public", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    i = registry.private_classifier.predict(x)
+    i = _predict(registry.private_classifier, x, index)
     if timed:
         timings.add("classify_private", perf_counter() - t0)
 
-    vae = registry.vaes.get(u)
-    if vae is None:
-        raise PipelineError(f"no VAE registered for predicted public class {u}")
+    table = registry.mean_table
+    groups = _groups(u, registry.vaes, table.latent_dim, index)
 
     t0 = perf_counter() if timed else 0.0
     rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-    z = sample_latent(vae.encode(x), rng.standard_normal(vae.latent_dim))
+    noise = rng.standard_normal((*x.shape[:-1], table.latent_dim))
+    z_hat = None
+    for _, rows, vae in groups:
+        z_hat = _place(z_hat, rows, sample_latent(vae.encode(x[rows]), noise[rows]), len(x))
     if timed:
         timings.add("encode", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    i_prime, applied = registry.policy.modify(i, coin)
-    z_hat = apply_transfer(z, registry.mean_table, u, i, i_prime)
+    modified = []
+    try:
+        for k, i_k in enumerate(i.tolist() if x.ndim == 2 else [i]):
+            modified.append(registry.policy.modify(i_k, coin))
+    except ValueError as exc:
+        raise ValueError(f"embedding {index + k}: {exc}") from exc
+    targets, applied = zip(*modified)
+    _transfer(z_hat, table, u, i, targets, index)
     # a log-variance above about 1,419 overflows exp(logvar / 2) to inf
-    if not math.isfinite(np.add.reduce(z_hat, axis=None)) and not np.isfinite(z_hat).all():
-        raise ValueError("non-finite value in the sampled latent")
-    crc = zlib.crc32(
-        z_hat
-        if z_hat.dtype == "<f8" and z_hat.flags.c_contiguous
-        else np.ascontiguousarray(z_hat, dtype="<f8")
-    )
+    _check_finite(z_hat, index, "the sampled latent")
+    crcs = [zlib.crc32(z) for z in z_hat] if x.ndim == 2 else [zlib.crc32(z_hat)]
     if timed:
         timings.add("transform", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    x_hat = vae.decode(z_hat)
+    outputs = None
+    for _, rows, vae in groups:
+        outputs = _place(outputs, rows, vae.decode(z_hat[rows]), len(x))
     if timed:
         timings.add("decode", perf_counter() - t0)
 
-    record = AnonymizationRecord(
-        index=index,
-        predicted_public=u,
-        predicted_private=i,
-        target_private=i_prime,
-        applied=applied,
-        zhat_crc32=crc,
-    )
-    return x_hat, record
+    if x.ndim == 1:
+        return outputs, AnonymizationRecord(index, u, i, targets[0], applied[0], crcs[0])
+    columns = zip(u.tolist(), i.tolist(), targets, applied, crcs)
+    return outputs, [AnonymizationRecord(index + k, *fields) for k, fields in enumerate(columns)]
 
 
-def _anonymize_rows(x, registry, index, noise_rng, coin):
-    """anonymize_embedding's six steps on a (B, D) batch, each step once for
-    all rows; the rows are grouped by predicted public class for the VAE
-    calls. A check that a row fails names the lowest such row."""
-    n = x.shape[0]
-    _check_finite(x, index, "the row")
-    u = _predict(registry.public_classifier, x, index)
-    i = _predict(registry.private_classifier, x, index)
-    classes, first = np.unique(u, return_index=True)
-    missing = [k for c, k in zip(classes.tolist(), first.tolist()) if c not in registry.vaes]
-    if missing:
-        k = min(missing)
-        raise PipelineError(
-            f"embedding {index + k}: no VAE registered for predicted public class {u[k]}"
-        )
-
-    policy = registry.policy
-    modified = []
-    try:
-        for k, i_k in enumerate(i.tolist()):
-            modified.append(policy.modify(i_k, coin))
-    except ValueError as exc:
-        raise ValueError(f"embedding {index + k}: {exc}") from exc
-    targets, applied = zip(*modified)
-    t = np.array(targets)
-    table = registry.mean_table
-    moved = t != i
-    lacking = moved & ~(_has_cells(table, u, i) & _has_cells(table, u, t))
-    if lacking.any():
-        k = int(lacking.argmax())
-        cell = i[k] if not table.has(u[k], i[k]) else t[k]
-        raise TableError(
-            f"embedding {index + k}: no mean latent recorded for cell (u={u[k]}, i={cell})"
-        )
-
-    latent_dim = table.latent_dim
-    rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-    noise = rng.standard_normal((n, latent_dim))
-    z_hat = np.empty((n, latent_dim), dtype="<f8")
-    groups = []
-    for c in classes.tolist():
-        rows = np.flatnonzero(u == c)
-        vae = registry.vaes[c]
-        if vae.latent_dim != latent_dim:
+def _groups(u, vaes, latent_dim, index):
+    """(public class, rows, VAE) per predicted class, ordered by the first
+    row that predicts it. A row is one group whose rows, ..., take it whole;
+    a batch group's rows are the numbers of the rows that predict it. A
+    class with no VAE, or one of another latent width than the table's,
+    fails naming that first row."""
+    if isinstance(u, np.ndarray):
+        classes, first = np.unique(u, return_index=True)
+        found = sorted(zip(first.tolist(), classes.tolist()))
+        groups = [(c, np.flatnonzero(u == c), vaes.get(c)) for _, c in found]
+    else:
+        groups = [(u, ..., vaes.get(u))]
+    for c, rows, vae in groups:
+        if vae is None or vae.latent_dim != latent_dim:
+            where = f"embedding {index if rows is ... else index + rows[0]}"
+            if vae is None:
+                raise PipelineError(f"{where}: no VAE registered for predicted public class {c}")
             raise ValueError(
-                f"embedding {index + rows[0]}: latent has shape ({vae.latent_dim},), "
-                f"table expects ({latent_dim},)"
+                f"{where}: latent has shape ({vae.latent_dim},), table expects ({latent_dim},)"
             )
-        z = sample_latent(vae.encode(x[rows]), noise[rows])
-        # the transfer, row for row the arithmetic of apply_transfer
-        shift = moved[rows]
-        if shift.any():
-            moving = rows[shift]
-            z[shift] = z[shift] - table.means[c, i[moving]] + table.means[c, t[moving]]
-        z_hat[rows] = z
-        groups.append((rows, vae))
-    _check_finite(z_hat, index, "the sampled latent")
-    crcs = [zlib.crc32(z_row) for z_row in z_hat]
-    outputs = np.empty((n, x.shape[1]))
-    for rows, vae in groups:
-        outputs[rows] = vae.decode(z_hat[rows])
+    return groups
 
-    records = [
-        AnonymizationRecord(index + k, *fields)
-        for k, fields in enumerate(zip(u.tolist(), i.tolist(), targets, applied, crcs))
-    ]
-    return outputs, records
+
+def _transfer(z_hat, table, u, i, targets, index):
+    """z - mean(u, i) + mean(u, i') in place on each latent whose target i'
+    is not its predicted i, the arithmetic of transform.apply_transfer: a
+    row's own move, or a batch's one move per distinct (u, i, i'), in the
+    order of their lowest rows. A move from or to a cell the table lacks
+    fails naming its lowest row."""
+    if isinstance(u, np.ndarray):
+        t = np.array(targets)
+        moved = t != i
+        moves = []
+        for c, a, b in set(zip(u[moved].tolist(), i[moved].tolist(), t[moved].tolist())):
+            selected = (u == c) & (i == a) & (t == b)
+            moves.append((int(selected.argmax()), selected, c, a, b))
+        moves.sort(key=lambda move: move[0])
+    else:
+        moves = [(0, ..., u, i, targets[0])] if targets[0] != i else []
+    for k, selected, c, a, b in moves:
+        try:
+            z_hat[selected] = z_hat[selected] - table.mean(c, a) + table.mean(c, b)
+        except TableError as exc:
+            raise TableError(f"embedding {index + k}: {exc}") from exc
+
+
+def _place(joined, rows, part, n):
+    """A row's part as the result (its rows are ...), or a batch group's
+    part copied into its rows of joined, made (n, width) on first use."""
+    if rows is ...:
+        return part
+    if joined is None:
+        joined = np.empty((n, part.shape[1]))
+    joined[rows] = part
+    return joined
 
 
 def _check_finite(rows, index, what):
-    """Raise ValueError naming the first of the rows with a non-finite value.
-    One reduction: the sum is finite only if every value is; a finite sum
+    """Raise ValueError naming the first row with a non-finite value. One
+    dot product: the sum of squares is finite only if every value is; one
     that overflows gets the exact check."""
-    if not math.isfinite(np.add.reduce(rows, axis=None)):
-        bad = ~np.isfinite(rows).all(axis=1)
+    flat = rows.ravel()
+    if not math.isfinite(flat.dot(flat)):
+        bad = ~np.isfinite(rows).all(axis=-1)
         if bad.any():
             raise ValueError(f"embedding {index + int(bad.argmax())}: non-finite value in {what}")
 
 
 def _predict(classifier, x, index):
-    """classifier.predict over the batch. It fails for the batch as a whole
-    (on a non-finite logit), so a failure is named by the first row that
-    fails on its own."""
+    """classifier.predict over the row or batch. It fails for a batch as a
+    whole (on a non-finite logit), so a failure is named by the first row
+    that fails on its own."""
     try:
         return classifier.predict(x)
     except ValueError as exc:
-        for k, row in enumerate(x):
+        for k, row in enumerate(x.reshape(-1, x.shape[-1])):
             try:
                 classifier.predict(row)
             except ValueError:
                 raise ValueError(f"embedding {index + k}: {exc}") from exc
         raise
-
-
-def _has_cells(table, u, i):
-    """Per row, whether the table holds cell (u, i); classes outside its
-    counts have none."""
-    inside = (u < table.n_public) & (i < table.n_private)
-    found = np.zeros(len(u), dtype=bool)
-    found[inside] = table.counts[u[inside], i[inside]] > 0
-    return found
 
 
 def anonymize_batch(embeddings, registry, *, noise_rng=None, coin=None, latent_mode="sample"):
@@ -379,13 +358,14 @@ def anonymize_stream(samples, window, stride, registry, noise_rng=None, coin=Non
 
 
 def _anonymize_window(x, registry, index, noise_rng, coin):
-    """anonymize_embedding on one stream window; a failure names the window.
-    A call of its own, so a paused generator holds no reference to the
-    result it handed out."""
+    """anonymize_embedding on one stream window; a failure names the window
+    in place of the embedding. A call of its own, so a paused generator
+    holds no reference to the result it handed out."""
     try:
         return anonymize_embedding(x, registry, index=index, noise_rng=noise_rng, coin=coin)
     except (PipelineError, ValueError) as exc:
-        raise PipelineError(f"window {index}: {exc}") from exc
+        reason = str(exc).removeprefix(f"embedding {index}: ")
+        raise PipelineError(f"window {index}: {reason}") from exc
 
 
 def make_anonymizer(registry, seed=None):

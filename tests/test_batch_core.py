@@ -17,6 +17,7 @@ from latent_anon.models import Classifier, VaeModel
 from latent_anon.pipeline import (
     ModelRegistry,
     PipelineError,
+    STAGES,
     StageTimings,
     anonymize_batch,
     anonymize_embedding,
@@ -228,6 +229,18 @@ class TestBatchErrors:
         with pytest.raises(PipelineError, match=r"^embedding 0: no mean latent recorded for cell \(u=0, i=1\)$"):
             anonymize_batch(list(self.rows()), reg, noise_rng=np.random.default_rng(0))
 
+    def test_latent_width_mismatch_names_the_lowest_row(self):
+        reg = registry(5, 2, 2, "deterministic", 0, unpredicted=False)
+        x = self.rows(40)
+        u = reg.public_classifier.predict(x)
+        reg.vaes[1] = VaeModel(5, 4, 2, public_class=1, hidden=(6, 4), rng=np.random.default_rng(1))
+        first = int(np.flatnonzero(u == 1)[0])
+        expected = r"latent has shape \(4,\), table expects \(3,\)$"
+        with pytest.raises(ValueError, match=rf"^embedding {first + 10}: {expected}"):
+            anonymize_embedding(x, reg, index=10, noise_rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"^embedding 7: {expected}"):
+            anonymize_embedding(x[first], reg, index=7, noise_rng=np.random.default_rng(0))
+
     def test_modify_error_names_the_row(self):
         reg = registry(5, 1, 2, "deterministic", 0)
         x = self.rows(40)
@@ -239,10 +252,17 @@ class TestBatchErrors:
         with pytest.raises(PipelineError, match=rf"^embedding {first}: class 1 outside"):
             anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(0))
 
-    def test_batch_with_timings_raises(self):
-        reg = registry(5, 2, 2, "deterministic", 0)
-        with pytest.raises(ValueError, match="per row"):
-            anonymize_embedding(self.rows(), reg, timings=StageTimings())
+
+
+def test_batch_records_one_sample_per_stage():
+    """The stage timings bracket the one body of the six steps, so a batch
+    call adds one sample to each stage, as a row call does."""
+    reg = registry(5, 2, 2, "deterministic", 0)
+    timings = StageTimings()
+    anonymize_embedding(np.ones((8, 5)), reg, noise_rng=np.random.default_rng(0), timings=timings)
+    anonymize_embedding(np.ones(5), reg, noise_rng=np.random.default_rng(0), timings=timings)
+    assert {name: len(samples) for name, samples in timings.samples.items()} == dict.fromkeys(STAGES, 2)
+    assert all(t >= 0 for samples in timings.samples.values() for t in samples)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -259,10 +279,10 @@ class TestNonFiniteLatent:
 
     def test_row_raises(self):
         reg = self.runaway()
-        with pytest.raises(ValueError, match=r"^non-finite value in the sampled latent$"):
+        with pytest.raises(ValueError, match=r"^embedding 0: non-finite value in the sampled latent$"):
             anonymize_embedding(np.ones(5), reg, noise_rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="sampled latent"):
-            anonymize_embedding(np.ones(5), reg, noise_rng=ZeroNoise())
+        with pytest.raises(ValueError, match=r"^embedding 7: .*sampled latent$"):
+            anonymize_embedding(np.ones(5), reg, index=7, noise_rng=ZeroNoise())
 
     def test_stream_names_the_window(self):
         reg = self.runaway()

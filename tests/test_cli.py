@@ -4,12 +4,15 @@ import csv
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from latent_anon.cli import build_parser, main
+from latent_anon.container import unframe, write_framed
 from latent_anon.data import load_embeddings
+from latent_anon.models import ContainerError, persist
 from latent_anon.transform import compute_mean_table, load_table, save_table
 
 
@@ -191,7 +194,7 @@ class TestAnonymize:
         "lines, expected",
         [
             (["0.1 0.2 0.3"] * 40, r"error: window 32 x 3 channels = 96 values, the models expect 64"),
-            (["0.1 0.2"] * 20 + ["nan 0.2"] + ["0.1 0.2"] * 19, r"error: window 0: .*finite logits"),
+            (["0.1 0.2"] * 20 + ["nan 0.2"] + ["0.1 0.2"] * 19, r"error: window 0: non-finite value in the row$"),
             (["0.1 0.2", "", "0.1 x"] + ["0.1 0.2"] * 40,
              r"^error: line 3: could not convert string to float: 'x'$"),
         ],
@@ -374,6 +377,27 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {models}") and err.endswith(f"{message}\n")
+        assert list(out.iterdir()) == []
+
+    def test_model_file_with_a_huge_dimension(self, workspace, tmp_path, capsys):
+        # a CRC-valid file whose JSON claims 10**12 inputs: a named error,
+        # not an allocation of terabytes
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        path = models / "vae_u0.lann"
+        (meta_len,), body = unframe(
+            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+        )
+        meta = dict(json.loads(bytes(body[:meta_len])), input_dim=10**12)
+        blob = json.dumps(meta).encode()
+        write_framed(path, persist.MAGIC, persist.VERSION, struct.pack("<Q", len(blob)), blob, body[meta_len:])
+        out = tmp_path / "anon"
+        code = main([
+            "anonymize", "--archive", str(workspace["data"]), "--models", str(models),
+            "--table", str(workspace["table"]), "--mode", "det", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        assert re.match(r"error: body has \d+ bytes, expected \d+ records of 8\n$", capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     def test_unreadable_archive(self, tmp_path, capsys):

@@ -303,7 +303,7 @@ class TestAnonymizeStream:
         rows[5][1] = np.nan  # in windows 3, 4 and 5 of window 3, stride 1
         gen = anonymize_stream(rows, 3, 1, registry, noise_rng=np.random.default_rng(0))
         assert [record.index for _, record in (next(gen) for _ in range(3))] == [0, 1, 2]
-        with pytest.raises(PipelineError, match=r"^window 3: .*finite logits"):
+        with pytest.raises(PipelineError, match=r"^window 3: non-finite value in the row$"):
             next(gen)
         assert list(gen) == []
 

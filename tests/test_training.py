@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,25 @@ class TestModelFileLayout:
         reframe(path, *model_payload(path), version=1)
         with pytest.raises(ContainerError, match="^unsupported LAMF1 version 1$"):
             load_model(path)
+
+    def test_huge_dimension_fails_before_allocating(self, tmp_path, kind):
+        """The body's size is checked against the parameter count that the
+        JSON's dims imply before any weight is allocated: 10**12 inputs
+        would need terabytes, 10**6 about 40 MB."""
+        path = tmp_path / "model.lann"
+        save_model(path, golden_model(kind))
+        blob, params = model_payload(path)
+        for dim in (10**12, 10**6):
+            meta = dict(json.loads(blob), input_dim=dim)
+            reframe(path, json.dumps(meta).encode(), params)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ContainerError, match=rf"^body has {len(params)} bytes, expected \d+ records"):
+                    load_model(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     @pytest.mark.parametrize("resize", [lambda p: p[:-8], lambda p: p + p[:8]],
                              ids=["one-float-short", "one-float-long"])
