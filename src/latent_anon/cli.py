@@ -132,8 +132,12 @@ def _describe_model(kind, label):
 
 def _load_named_model(path, kind, label):
     """The model in path, which must be the one its file name says: a VAE of
-    public class label or a classifier of attribute label."""
-    model, meta = load_model(path)
+    public class label or a classifier of attribute label. A file that
+    fails to load is named in the error."""
+    try:
+        model, meta = load_model(path)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
     held = (meta["kind"], meta["public_class"] if meta["kind"] == "vae" else meta["attribute"])
     if held != (kind, label):
         raise ContainerError(

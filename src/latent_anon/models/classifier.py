@@ -59,9 +59,10 @@ class Classifier:
         logits = self.mlp.logits(x)
         if logits.size == 0:
             raise ValueError("predict of an empty batch")
-        # one reduction: the sum is finite only if every logit is; a finite
-        # sum that overflows gets the exact check
-        if not math.isfinite(logits.sum()) and not np.isfinite(logits).all():
+        # one dot product: the sum of squares is finite only if every logit
+        # is; one that overflows gets the exact check
+        flat = logits.ravel()
+        if not math.isfinite(flat.dot(flat)) and not np.isfinite(logits).all():
             raise ValueError("predict requires finite logits")
         labels = logits.argmax(axis=-1)
         return int(labels) if logits.ndim == 1 else labels

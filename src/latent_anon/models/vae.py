@@ -49,14 +49,18 @@ class LossBreakdown:
     beta: float
 
 
+# 0.5 as a 0-d float64 array, which a ufunc takes faster than a Python float
+_HALF = np.full((), 0.5)
+
+
 def sample_latent(dist, noise):
     """Reparameterized sample: z = mu + exp(logvar / 2) * noise, computed in
-    one new buffer (IEEE addition commutes, so adding mu last is bitwise
-    the same)."""
+    the one new buffer that logvar / 2 makes (IEEE addition commutes, so
+    adding mu last is bitwise the same)."""
     noise = np.asarray(noise, dtype=float)
     if noise.shape != np.shape(dist.mu):
         raise ValueError(f"noise shape {noise.shape} does not match mu {np.shape(dist.mu)}")
-    z = np.multiply(0.5, dist.logvar, out=np.empty(noise.shape))
+    z = np.multiply(_HALF, dist.logvar)
     np.exp(z, out=z)
     z *= noise
     z += dist.mu

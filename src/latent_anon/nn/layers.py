@@ -6,16 +6,18 @@ safe from multiple threads.
 
 forward takes batches only, one row per item; with backward it is the
 reference that the tests compare ChainWorkspace against. Inference uses the
-cacheless pass, which takes a single (n,) row or a (B, n) batch and
-runs the same operations on either rank: Dense.infer applies the layer with
-no cache and no checks, and MLP.logits checks the row or batch once at its
-boundary (check_rows), then returns the last layer's pre-activation
-(MLP.infer applies the last activation to it). Both add the bias and apply
-tanh/relu in place, so each layer allocates one array; they run the same
-operations as forward, so their outputs are bitwise equal to forward's. A
-product x @ W.T of one row runs the same matmul kernel as that of a one-row
-batch, so a row's result is bitwise row 0 of the one-row batch's, without
-the lift to (1, n) and its broadcast bias add.
+cacheless pass, which takes a single (n,) row or a (B, n) batch: Dense.infer
+applies the layer with no cache and no checks, and MLP.logits checks the row
+or batch once at its boundary (check_rows), then returns the last layer's
+pre-activation (MLP.infer applies the last activation to it in place). Both
+add the bias and apply tanh/relu in place, so each layer allocates one
+array. A batch's product is x @ W.T, forward's operation, so its outputs
+are bitwise equal to forward's. A row's product is W.dot(x): the same BLAS
+matrix-vector kernel that x @ W.T of a one-row batch reaches, with the same
+bits at every deployed shape and in thousands of random ones, but at about
+half the per-call cost of the matmul ufunc. dot releases the GIL where @
+does not, so only rows take it: a batch, such as each call the attack's
+threads make, keeps @.
 
 Each model holds its parameters in one contiguous float64 vector
 (flatten_parameters): every Dense.W and Dense.b is a view into it, in
@@ -50,10 +52,15 @@ def _activate(name, z):
     raise ValueError(f"unknown activation {name!r}")
 
 
+# A float64 zero as a 0-d array: a ufunc takes it about 0.2 us faster than
+# the Python float 0.0, which it must first convert, with the same result.
+_ZERO = np.zeros(())
+
+
 def _activate_inplace(name, z):
     """_activate(name, z), written into z where the activation allows."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=z)
+        return np.maximum(z, _ZERO, out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
     return _activate(name, z)
@@ -142,9 +149,10 @@ class Dense:
 
     def infer(self, x):
         """activation(x @ W.T + b) for a float (n_in,) row or (B, n_in)
-        batch the caller has checked; no cache. The bias and the activation
-        are applied in place, into the product."""
-        z = x @ self.W.T
+        batch the caller has checked; no cache. A row's product is
+        W.dot(x), a batch's x @ W.T; the bias and the activation are applied
+        in place, into the product."""
+        z = self.W.dot(x) if x.ndim == 1 else x @ self.W.T
         z += self.b
         return _activate_inplace(self.activation, z)
 
@@ -203,13 +211,14 @@ class MLP:
         for layer in self.layers[:-1]:
             x = layer.infer(x)
         last = self.layers[-1]
-        z = x @ last.W.T
+        z = last.W.dot(x) if x.ndim == 1 else x @ last.W.T
         z += last.b
         return z
 
     def infer(self, x):
-        """forward's output without the caches."""
-        return _activate(self.activations[-1], self.logits(x))
+        """forward's output without the caches; the last activation is
+        applied in place where _activate_inplace allows."""
+        return _activate_inplace(self.activations[-1], self.logits(x))
 
     def backward(self, d_out, caches, input_grad=True):
         """Returns (d_x, grads) with grads aligned with parameters(); d_x is

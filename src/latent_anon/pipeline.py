@@ -164,7 +164,7 @@ def anonymize_embedding(
 
     t0 = perf_counter() if timed else 0.0
     rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-    noise = rng.standard_normal((*x.shape[:-1], table.latent_dim))
+    noise = rng.standard_normal(x.shape[:-1] + (table.latent_dim,))
     z_hat = None
     for _, rows, vae in groups:
         z_hat = _place(z_hat, rows, sample_latent(vae.encode(x[rows]), noise[rows]), len(x))
@@ -240,9 +240,12 @@ def _transfer(z_hat, table, u, i, targets, index):
         moves = [(0, ..., u, i, targets[0])] if targets[0] != i else []
     for k, selected, c, a, b in moves:
         try:
-            z_hat[selected] = z_hat[selected] - table.mean(c, a) + table.mean(c, b)
+            moved = z_hat[selected]
+            moved -= table.mean(c, a)
+            moved += table.mean(c, b)
         except TableError as exc:
             raise TableError(f"embedding {index + k}: {exc}") from exc
+        z_hat[selected] = moved
 
 
 def _place(joined, rows, part, n):

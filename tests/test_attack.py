@@ -10,7 +10,10 @@ from latent_anon.attack import (
     run_reid_attack,
 )
 from latent_anon.data import SynthConfig, synth_generate, window_embeddings
-from latent_anon.models import TrainConfig, train_classifier
+from latent_anon.models import Classifier, TrainConfig, VaeModel, train_classifier
+from latent_anon.nn import MLP, Dense
+from latent_anon.pipeline import ModelRegistry, make_anonymizer
+from latent_anon.transform import MeanLatentTable, ModifyPolicy
 
 
 def synth_split(seed=0, subjects=6, noise=0.05):
@@ -128,6 +131,41 @@ class TestRunReidAttack:
             AttackConfig(sample_fraction=0.0)
         with pytest.raises(ValueError):
             AttackConfig(n_runs=0)
+
+
+class TestAttackInference:
+    # A row's product is W.dot(x), which releases the GIL on every call; a
+    # batch's is x @ W.T, which keeps it at these sizes. The attack's threads
+    # must therefore make batch calls only, or they contend for the lock.
+    def test_no_one_vector_inference_call(self, monkeypatch):
+        train, test = synth_split()
+        dim = train[0].x.size
+        rng = np.random.default_rng(0)
+        registry = ModelRegistry(
+            vaes={u: VaeModel(dim, 2, 2, public_class=u, hidden=(8,), rng=rng) for u in range(2)},
+            public_classifier=Classifier(dim, 2, "public", hidden=(8,), rng=rng),
+            private_classifier=Classifier(dim, 2, "private", hidden=(8,), rng=rng),
+            mean_table=MeanLatentTable(
+                2, 2, 2, {(u, i): (rng.normal(size=2), 1) for u in range(2) for i in range(2)}
+            ),
+            policy=ModifyPolicy(mode="probabilistic", n_classes=2),
+        )
+        ranks = []
+
+        def recording(method):
+            def wrapper(self, x):
+                ranks.append(np.ndim(x))
+                return method(self, x)
+
+            return wrapper
+
+        monkeypatch.setattr(Dense, "infer", recording(Dense.infer))
+        monkeypatch.setattr(MLP, "logits", recording(MLP.logits))
+        config = AttackConfig(sample_fraction=0.5, n_runs=2, seed=1, attacker=TrainConfig(epochs=2))
+        run_reid_attack(
+            lambda seed: make_anonymizer(registry, seed), train, test, 2, config, n_workers=2
+        )
+        assert ranks and 1 not in ranks
 
 
 class TestEvaluateUtilityPrivacy:

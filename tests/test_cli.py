@@ -397,7 +397,29 @@ class TestErrorPaths:
             "--table", str(workspace["table"]), "--mode", "det", "--seed", "3", "--out", str(out),
         ])
         assert code == 1
-        assert re.match(r"error: body has \d+ bytes, expected \d+ records of 8\n$", capsys.readouterr().err)
+        assert re.match(
+            rf"error: {re.escape(str(path))}: body has \d+ bytes, expected \d+ records of 8\n$",
+            capsys.readouterr().err,
+        )
+        assert list(out.iterdir()) == []
+
+    def test_model_file_with_a_short_body_is_named(self, workspace, tmp_path, capsys):
+        # reframed with a valid CRC, so only the body's size check fails
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        path = models / "vae_u0.lann"
+        header, body = unframe(
+            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+        )
+        write_framed(path, persist.MAGIC, persist.VERSION, struct.pack("<Q", *header), body[:-8])
+        out = tmp_path / "anon"
+        code = main([
+            "anonymize", "--archive", str(workspace["data"]), "--models", str(models),
+            "--table", str(workspace["table"]), "--mode", "det", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: body has ") and "vae_u0.lann" in err
         assert list(out.iterdir()) == []
 
     def test_unreadable_archive(self, tmp_path, capsys):

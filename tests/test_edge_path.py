@@ -1,7 +1,7 @@
 """Differential tests of the N = 1 edge path against its plain reference:
 the stream's contiguous ring against windows cut explicitly from the rows
 (every form a row may arrive in, and the rows it must reject),
-predict's one-reduction finiteness check, and the in-place sample_latent and
+predict's one-dot-product finiteness check, and the in-place sample_latent and
 apply_transfer against their textbook formulas."""
 
 import numpy as np
@@ -141,6 +141,26 @@ class TestPredict:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_logits_raise(self, bad):
         clf = self.classifier([0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="finite logits"):
+            clf.predict(np.ones(3))
+        with pytest.raises(ValueError, match="finite logits"):
+            clf.predict(np.ones((2, 3)))
+
+    # predict checks the sum of squares, one dot product; squares of 1e160
+    # overflow, and each logit is then checked
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_logits_whose_squares_overflow_pass(self):
+        clf = self.classifier([1e160, -1e160])
+        x = np.ones((4, 3))
+        flat = clf.mlp.logits(x).ravel()
+        assert np.isfinite(flat.sum()) and not np.isfinite(flat.dot(flat))
+        assert clf.predict(x[0]) == 0
+        assert clf.predict(x).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_beside_overflowing_squares_raises(self, bad):
+        clf = self.classifier([1e160, bad, -1e160])
         with pytest.raises(ValueError, match="finite logits"):
             clf.predict(np.ones(3))
         with pytest.raises(ValueError, match="finite logits"):
