@@ -1,32 +1,44 @@
 """Hand-written backprop vs the finite-difference oracle.
 
-Builds a small MLP regression loss and the full VAE training loss, then
-compares every analytic gradient coordinate against central differences.
+Builds the classifier's cross-entropy loss and the full VAE training loss,
+then compares every analytic gradient coordinate against central
+differences.
 """
 
 import numpy as np
 
-from latent_anon.models import VaeModel, loss_and_gradients
-from latent_anon.nn import MLP, grad_check, squared_error
+from latent_anon.models import Classifier, VaeModel, loss_and_gradients
+from latent_anon.nn import cross_entropy_from_labels, grad_check
 
 rng = np.random.default_rng(0)
 
-# --- plain MLP with squared-error loss ---------------------------------------
-mlp = MLP([5, 16, 8, 3], ["tanh", "tanh", "identity"], rng)
+# --- relu classifier with softmax + cross entropy ----------------------------
+clf = Classifier(input_dim=5, n_classes=3, hidden=(16, 8), rng=rng)
 x = rng.standard_normal((10, 5))
-target = rng.standard_normal((10, 3))
+y = rng.integers(0, 3, size=10)
 
-y, caches = mlp.forward(x)
-_, grads = mlp.backward(y - target, caches)
+_, grads = clf.loss_and_gradients(x, y)
+
+
+def relu_preactivations():
+    # a probe that flips the sign of one straddles a relu kink and is skipped
+    h, margins = x, []
+    for layer in clf.mlp.layers[:-1]:
+        z = h @ layer.W.T + layer.b
+        margins.append(z.ravel())
+        h = np.maximum(z, 0.0)
+    return np.concatenate(margins)
+
 
 result = grad_check(
-    lambda: float(squared_error(mlp.forward(x)[0], target).sum()),
-    mlp.parameters(),
+    lambda: float(cross_entropy_from_labels(clf.predict_proba(x), y).sum()),
+    clf.parameters(),
     grads,
     eps=1e-5,
+    kink_margins=relu_preactivations,
 )
-print(f"MLP squared-error loss: {result.n_checked} coordinates checked, "
-      f"max relative error {result.max_rel_error:.3e}")
+print(f"classifier cross-entropy loss: {result.n_checked} coordinates checked, "
+      f"{result.n_skipped} skipped at relu kinks, max relative error {result.max_rel_error:.3e}")
 
 # --- full augmented VAE loss ---------------------------------------------------
 model = VaeModel(input_dim=12, latent_dim=4, n_private=3, hidden=(16, 8), rng=rng)

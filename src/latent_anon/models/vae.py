@@ -92,8 +92,8 @@ class VaeModel:
     """Encoder/decoder pair plus the private-attribute head, for one public class.
 
     encode, decode and classify_latent run the cacheless inference pass
-    (MLP.infer, Dense.infer) on a vector or a batch, bitwise equal to
-    forward; loss_and_gradients runs a VaeWorkspace. parameter_vector holds
+    (MLP.infer, Dense.infer) on a vector or a batch, a batch bitwise equal
+    to ChainWorkspace.forward; loss_and_gradients runs a VaeWorkspace. parameter_vector holds
     every parameter, in parameters() order; each layer's W and b are views
     into it.
     """

@@ -1,34 +1,33 @@
-"""Dense layers and MLP stacks with hand-written forward/backward passes.
+"""Dense layers and MLP stacks with two hand-written passes: the cacheless
+inference pass and ChainWorkspace, the training pass.
 
-Everything is double precision. Layers hold no per-call state: forward
-returns a cache that backward consumes, so inference on frozen parameters is
-safe from multiple threads.
+Everything is double precision. Layers hold no per-call state, so inference
+on frozen parameters is safe from multiple threads.
 
-forward takes batches only, one row per item; with backward it is the
-reference that the tests compare ChainWorkspace against. Inference uses the
-cacheless pass, which takes a single (n,) row or a (B, n) batch: Dense.infer
-applies the layer with no cache and no checks, and MLP.logits checks the row
-or batch once at its boundary (check_rows), then returns the last layer's
-pre-activation (MLP.infer applies the last activation to it in place). Both
-add the bias and apply tanh/relu in place, so each layer allocates one
-array. A batch's product is x @ W.T, forward's operation, so its outputs
-are bitwise equal to forward's. A row's product is W.dot(x): the same BLAS
+Inference takes a single (n,) row or a (B, n) batch: Dense.infer applies the
+layer with no checks, and MLP.logits checks the row or batch once at its
+boundary (check_rows), then returns the last layer's pre-activation
+(MLP.infer applies the last activation to it in place). Both add the bias and
+apply tanh/relu in place, so each layer allocates one array. A batch's
+product is x @ W.T, the training pass's operation, so its outputs are bitwise
+equal to ChainWorkspace.forward's. A row's product is W.dot(x): the same BLAS
 matrix-vector kernel that x @ W.T of a one-row batch reaches, with the same
 bits at every deployed shape and in thousands of random ones, but at about
 half the per-call cost of the matmul ufunc. dot releases the GIL where @
 does not, so only rows take it: a batch, such as each call the attack's
 threads make, keeps @.
 
+The trainers run ChainWorkspace on (B, n) batches: forward, then a
+reverse-mode backward, written into arrays allocated once per (model, batch
+size) and into (dW, db) views of one flat gradient laid out like the
+parameter vector (layer_views). backward(d, input_grad=False) skips the
+gradient w.r.t. the chain's input, d @ W, which no trainer needs for a
+model's first layer.
+
 Each model holds its parameters in one contiguous float64 vector
 (flatten_parameters): every Dense.W and Dense.b is a view into it, in
 parameters() order, so the trainer updates the whole model with one Adam
-step. backward(..., input_grad=False) skips the gradient w.r.t. the layer
-input, d_z @ W, which no trainer needs for a model's first layer.
-
-The trainers run ChainWorkspace, not forward/backward: the same operations
-in the same order, so bitwise the same values as the reference, written into
-arrays allocated once per (model, batch size) and into (dW, db) views of one
-flat gradient laid out like the parameter vector (layer_views).
+step.
 """
 
 import math
@@ -67,7 +66,9 @@ def _activate_inplace(name, z):
 
 
 def _activation_backward_inplace(name, y, d, scratch):
-    """_activation_backward for relu or tanh, written into d; scratch is a
+    """The gradient w.r.t. the pre-activation z, given d, the gradient
+    w.r.t. the output y = activation(z): d * (z > 0) for relu (subgradient 0
+    at the kink) or d * (1 - y * y) for tanh, written into d; scratch is a
     buffer shaped like y. relu's mask (z > 0) is read from y = max(z, 0),
     which is positive exactly where z is. identity and softmax leave d as
     it is: a softmax layer's d is already the fused softmax + cross-entropy
@@ -80,20 +81,6 @@ def _activation_backward_inplace(name, y, d, scratch):
         np.subtract(1.0, scratch, out=scratch)
         d *= scratch
     return d
-
-
-def _activation_backward(name, z, y, d_y):
-    """Gradient w.r.t. the pre-activation z, given the upstream gradient d_y."""
-    if name == "identity":
-        return d_y
-    if name == "relu":
-        # subgradient 0 at the kink z == 0
-        return d_y * (z > 0)
-    if name == "tanh":
-        return d_y * (1.0 - y * y)
-    if name == "softmax":
-        return y * (d_y - np.sum(d_y * y, axis=-1, keepdims=True))
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def check_batch(x, n_in):
@@ -113,18 +100,12 @@ def check_rows(x, n):
     return x
 
 
-def _check_grad(d, z):
-    """The upstream gradient must match the layer output z, one row per item."""
-    if np.shape(d) != z.shape:
-        raise ValueError(f"gradient shape {np.shape(d)} does not match output {z.shape}")
-
-
 class Dense:
     """Fully connected layer: y = activation(W @ x + b).
 
     W has shape (n_out, n_in) and is initialized uniformly in
     [-sqrt(6/(n_in+n_out)), +sqrt(6/(n_in+n_out))]; biases start at zero.
-    forward takes a (B, n_in) batch.
+    infer applies the layer to a row or a batch; ChainWorkspace trains it.
     """
 
     def __init__(self, n_in, n_out, activation="identity", rng=None):
@@ -141,40 +122,14 @@ class Dense:
         self.n_in = n_in
         self.n_out = n_out
 
-    def forward(self, x):
-        x = check_batch(x, self.n_in)
-        z = x @ self.W.T + self.b
-        y = _activate(self.activation, z)
-        return y, (x, z, y)
-
     def infer(self, x):
         """activation(x @ W.T + b) for a float (n_in,) row or (B, n_in)
-        batch the caller has checked; no cache. A row's product is
-        W.dot(x), a batch's x @ W.T; the bias and the activation are applied
-        in place, into the product."""
+        batch the caller has checked. A row's product is W.dot(x), a batch's
+        x @ W.T; the bias and the activation are applied in place, into the
+        product."""
         z = self.W.dot(x) if x.ndim == 1 else x @ self.W.T
         z += self.b
         return _activate_inplace(self.activation, z)
-
-    def backward(self, d_out, cache, input_grad=True):
-        """Returns (d_x, d_W, d_b) for the upstream gradient d_out; d_x is
-        None when input_grad is False."""
-        _, z, y = cache
-        _check_grad(d_out, z)
-        d_z = _activation_backward(self.activation, z, y, d_out)
-        return self.backward_preactivation(d_z, cache, input_grad)
-
-    def backward_preactivation(self, d_z, cache, input_grad=True):
-        """Returns (d_x, d_W, d_b) for a gradient w.r.t. the pre-activation z;
-        d_x is None when input_grad is False.
-
-        Used when the activation derivative is fused into the loss gradient
-        (softmax + cross entropy).
-        """
-        x, z, _ = cache
-        _check_grad(d_z, z)
-        d_x = d_z @ self.W if input_grad else None
-        return d_x, d_z.T @ x, d_z.sum(axis=0)
 
     def parameters(self):
         return [self.W, self.b]
@@ -197,13 +152,6 @@ class MLP:
         self.sizes = tuple(sizes)
         self.activations = tuple(activations)
 
-    def forward(self, x):
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x)
-            caches.append(cache)
-        return x, caches
-
     def logits(self, x):
         """The last layer's pre-activation for a (sizes[0],) row or a
         (B, sizes[0]) batch, checked once here; a row gives a row."""
@@ -216,19 +164,10 @@ class MLP:
         return z
 
     def infer(self, x):
-        """forward's output without the caches; the last activation is
-        applied in place where _activate_inplace allows."""
+        """The chain's output for a (sizes[0],) row or a (B, sizes[0])
+        batch: logits, with the last activation applied in place where
+        _activate_inplace allows."""
         return _activate_inplace(self.activations[-1], self.logits(x))
-
-    def backward(self, d_out, caches, input_grad=True):
-        """Returns (d_x, grads) with grads aligned with parameters(); d_x is
-        None when input_grad is False."""
-        grads = []
-        d = d_out
-        for k in reversed(range(len(self.layers))):
-            d, d_w, d_b = self.layers[k].backward(d, caches[k], input_grad or k > 0)
-            grads[:0] = (d_w, d_b)
-        return d, grads
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -270,12 +209,10 @@ class ChainWorkspace:
     gradient w.r.t. its input, allocated once, plus grads, one (dW, db) pair
     of views per layer (layer_views of a flat gradient).
 
-    forward and backward run Dense.forward and Dense.backward's operations
-    in the same order, so every value is bitwise equal to theirs, but write
-    only into these arrays. Reductions call the ufunc's reduce directly,
-    the same reduction without the ndarray method's Python wrapper. The
-    arrays are reused by the next pass, so a workspace serves one training
-    call at a time.
+    forward and backward write only into these arrays. Reductions call the
+    ufunc's reduce directly, the same reduction without the ndarray
+    method's Python wrapper. The arrays are reused by the next pass, so a
+    workspace serves one training call at a time.
     """
 
     def __init__(self, layers, batch, grads):

@@ -72,11 +72,6 @@ class MeanLatentTable:
             raise TableError(f"no mean latent recorded for cell (u={u}, i={i})")
         return self.means[u, i]
 
-    def count(self, u, i):
-        if not self.has(u, i):
-            raise TableError(f"no mean latent recorded for cell (u={u}, i={i})")
-        return int(self.counts[u, i])
-
     def cells(self):
         return {
             (int(u), int(i)): (self.means[u, i], int(self.counts[u, i]))

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from latent_anon.models import Classifier, LatentDistribution, VaeModel, sample_latent
 from latent_anon.pipeline import ModelRegistry, PipelineError, anonymize_embedding, anonymize_stream
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
+from reference_nn import forward
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -178,8 +179,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         clf = Classifier(dim, n_classes, hidden=hidden, rng=rng)
         x = rng.normal(size=(batch, dim))
-        _, caches = clf.mlp.forward(x)
-        logits = caches[-1][1]
+        logits = forward(clf.mlp.layers, x)[-1][1]
         labels = clf.predict(x)
         assert labels.tolist() == np.argmax(logits, axis=-1).tolist()
         single = clf.predict(x[0])

@@ -28,7 +28,7 @@ from latent_anon.models.classifier import ClassifierWorkspace
 from latent_anon.models.training import _fit
 from latent_anon.models.vae import VaeWorkspace
 from latent_anon.nn import ACTIVATIONS, MLP, Adam, Dense
-from latent_anon.nn.losses import as_labels, cross_entropy_from_labels
+from reference_nn import classifier_loss, workspace
 
 
 class ReferenceAdam:
@@ -77,22 +77,6 @@ def reference_fit(params, loss_and_grads, n, config, rng):
             epoch_total += loss
         history.append(epoch_total / n)
     return history
-
-
-def reference_classifier_loss(model, x, labels):
-    """Classifier.loss_and_gradients before the first layer skipped its input
-    gradient."""
-    y = as_labels(labels)
-    probs, caches = model.mlp.forward(x)
-    ce = cross_entropy_from_labels(probs, y)
-    g = probs.copy()
-    g[np.arange(y.size), y] -= 1.0
-    d, d_w, d_b = model.mlp.layers[-1].backward_preactivation(g, caches[-1])
-    grads = [d_w, d_b]
-    for layer, cache in zip(reversed(model.mlp.layers[:-1]), reversed(caches[:-1])):
-        d, d_w, d_b = layer.backward(d, cache)
-        grads[:0] = (d_w, d_b)
-    return float(ce.sum()), grads
 
 
 def dataset(n=45, dim=10, n_public=1, n_private=3, seed=0):
@@ -173,7 +157,7 @@ class TestTrainersAgainstReferenceLoop:
         ref = Classifier(x.shape[1], 3, attribute="private", hidden=config.hidden, rng=rng)
         ref_history = reference_fit(
             ref.parameters(),
-            lambda idx: reference_classifier_loss(ref, x[idx], y[idx]),
+            lambda idx: classifier_loss(ref, x[idx], y[idx], input_grad=True),
             x.shape[0],
             config,
             rng,
@@ -215,22 +199,26 @@ class TestSkippedInputGradient:
     def test_mlp_parameter_gradients_bitwise_equal(self, sizes, activation, batch, seed):
         rng = np.random.default_rng(seed)
         mlp = MLP(sizes, [activation] * (len(sizes) - 1), rng)
-        out, caches = mlp.forward(rng.standard_normal((batch, sizes[0])))
-        d_out = rng.standard_normal(out.shape)
-        d_x, grads = mlp.backward(d_out, caches)
-        skipped, skipped_grads = mlp.backward(d_out, caches, input_grad=False)
+        ws, grads = workspace(mlp.layers, batch)
+        x = rng.standard_normal((batch, sizes[0]))
+        d_out = rng.standard_normal(ws.forward(x).shape)
+        d_x = ws.backward(d_out.copy(), input_grad=True)
+        full = as_bytes(grads)
+        ws.forward(x)
+        skipped = ws.backward(d_out.copy())
         assert skipped is None and d_x.shape == (batch, sizes[0])
-        assert as_bytes(skipped_grads) == as_bytes(grads)
+        assert as_bytes(grads) == full
 
     def test_dense_returns_no_input_gradient(self):
         rng = np.random.default_rng(1)
-        layer = Dense(4, 3, "tanh", rng)
-        y, cache = layer.forward(rng.standard_normal((2, 4)))
-        d = rng.standard_normal(y.shape)
-        full = layer.backward(d, cache)
-        skipped = layer.backward(d, cache, input_grad=False)
-        assert skipped[0] is None
-        assert as_bytes(skipped[1:]) == as_bytes(full[1:])
+        ws, grads = workspace([Dense(4, 3, "tanh", rng)], 2)
+        x = rng.standard_normal((2, 4))
+        d = rng.standard_normal(ws.forward(x).shape)
+        full = ws.backward(d.copy(), input_grad=True), as_bytes(grads)
+        ws.forward(x)
+        skipped = ws.backward(d.copy(), input_grad=False), as_bytes(grads)
+        assert full[0] is not None and skipped[0] is None
+        assert skipped[1] == full[1]
 
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 4)])
     def test_classifier_gradients_equal_the_full_backward(self, hidden):
@@ -239,7 +227,7 @@ class TestSkippedInputGradient:
         x = rng.standard_normal((7, 5))
         y = rng.integers(0, 3, size=7)
         loss, grads = model.loss_and_gradients(x, y)
-        ref_loss, ref_grads = reference_classifier_loss(model, x, y)
+        ref_loss, ref_grads = classifier_loss(model, x, y, input_grad=True)
         assert loss == ref_loss
         assert as_bytes(grads) == as_bytes(ref_grads)
 

@@ -1,5 +1,6 @@
 """The cacheless inference pass: Dense.infer, MLP.logits/infer and the model
-methods built on them, checked bitwise against forward; and the named errors
+methods built on them, checked bitwise against the training pass's forward
+(ChainWorkspace) and, for logits, the reference pass; and the named errors
 that non-finite, empty or misshapen input raises through predict and the
 pipeline."""
 
@@ -14,6 +15,7 @@ from latent_anon.models import Classifier, VaeModel
 from latent_anon.nn import ACTIVATIONS, MLP, Dense
 from latent_anon.pipeline import ModelRegistry, PipelineError, anonymize_batch, anonymize_embedding
 from latent_anon.transform import MeanLatentTable, ModifyPolicy
+from reference_nn import forward, workspace
 
 dims = st.integers(1, 8)
 batches = st.integers(1, 6)
@@ -24,6 +26,11 @@ scales = st.sampled_from([1e-3, 1.0, 30.0])
 def randomize(params, rng, scale):
     for p in params:
         p[...] = rng.normal(scale=scale, size=p.shape)
+
+
+def chain_forward(layers, x):
+    """ChainWorkspace.forward of layers on the batch x."""
+    return workspace(layers, len(x))[0].forward(x)
 
 
 def same_bits(a, b):
@@ -38,7 +45,7 @@ class TestLayers:
         layer = Dense(n_in, n_out, activation, rng)
         randomize(layer.parameters(), rng, scale)
         x = rng.normal(scale=scale, size=(batch, n_in))
-        y, _ = layer.forward(x)
+        y = chain_forward([layer], x)
         assert same_bits(layer.infer(x), y)
 
     @settings(max_examples=60, deadline=None)
@@ -57,9 +64,9 @@ class TestLayers:
         mlp = MLP(sizes, activations, rng)
         randomize(mlp.parameters(), rng, scale)
         x = rng.normal(scale=scale, size=(batch, sizes[0]))
-        y, caches = mlp.forward(x)
+        y = chain_forward(mlp.layers, x)
         assert same_bits(mlp.infer(x), y)
-        assert same_bits(mlp.logits(x), caches[-1][1])
+        assert same_bits(mlp.logits(x), forward(mlp.layers, x)[-1][1])
 
     @pytest.mark.parametrize("shape", [(3,), (2, 5), (2, 4, 1)])
     def test_logits_check_the_batch_once(self, shape):
@@ -81,11 +88,11 @@ class TestModels:
         z = rng.normal(scale=scale, size=(batch, latent_dim))
 
         for xs, zs in ((x, z), (x[:1], z[:1])):
-            h, _ = vae.encoder.forward(xs)
-            mu, _ = vae.mu_head.forward(h)
-            logvar, _ = vae.logvar_head.forward(h)
-            x_hat, _ = vae.decoder.forward(zs)
-            probs, _ = vae.class_head.forward(zs)
+            h = chain_forward(vae.encoder.layers, xs)
+            mu = chain_forward([vae.mu_head], h)
+            logvar = chain_forward([vae.logvar_head], h)
+            x_hat = chain_forward(vae.decoder.layers, zs)
+            probs = chain_forward([vae.class_head], zs)
 
             dist = vae.encode(xs)
             assert same_bits(dist.mu, mu) and same_bits(dist.logvar, logvar)
@@ -105,8 +112,7 @@ class TestModels:
         randomize(clf.parameters(), rng, scale)
         x = rng.normal(scale=scale, size=(batch, input_dim))
         probs = clf.predict_proba(x)
-        y, _ = clf.mlp.forward(x)
-        assert same_bits(probs, y)
+        assert same_bits(probs, chain_forward(clf.mlp.layers, x))
         pred = clf.predict(x)
         logits = clf.mlp.logits(x)
         for k in range(batch):

@@ -17,6 +17,7 @@ from latent_anon.models import (
     sample_latent,
 )
 from latent_anon.nn import cross_entropy_from_labels, grad_check
+from reference_nn import forward
 
 
 def tiny_vae(seed=0, input_dim=6, latent_dim=3, n_private=2, hidden=(8,)):
@@ -401,8 +402,7 @@ class TestClassifierGradients:
         _, grads = clf.loss_and_gradients(x, y)
 
         def margins():
-            _, caches = clf.mlp.forward(x)
-            return np.concatenate([cache[1].ravel() for cache in caches[:-1]])
+            return np.concatenate([z.ravel() for _, z, _ in forward(clf.mlp.layers, x)[:-1]])
 
         report = grad_check(
             lambda: float(cross_entropy_from_labels(clf.predict_proba(x), y).sum()),

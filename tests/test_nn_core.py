@@ -1,5 +1,6 @@
-"""Dense-network numerics: forward passes, losses, reverse-mode gradients,
-optimizer steps and the finite-difference oracle."""
+"""Dense-network numerics: the inference pass, losses, the training pass's
+gradients (ChainWorkspace and both models' loss_and_gradients), optimizer
+steps and the finite-difference oracle."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_anon.models import Classifier, VaeModel, loss_and_gradients
 from latent_anon.nn import (
     MLP,
     Adam,
@@ -17,6 +19,7 @@ from latent_anon.nn import (
     softmax,
     squared_error,
 )
+from reference_nn import forward, workspace
 
 
 def make_dense(w, b, activation="identity"):
@@ -31,55 +34,41 @@ def make_dense(w, b, activation="identity"):
 class TestDenseForward:
     def test_identity_weights(self):
         layer = make_dense(np.eye(2), [0.0, 0.0])
-        assert np.allclose(layer.forward([[3.0, -1.0]])[0], [[3.0, -1.0]])
+        assert np.allclose(layer.infer(np.array([[3.0, -1.0]])), [[3.0, -1.0]])
 
     def test_zero_weights_return_bias(self):
         layer = make_dense(np.zeros((2, 3)), [1.0, 2.0])
-        y, _ = layer.forward([[0.0, 0.0, 0.0], [5.0, -2.0, 7.0]])
+        y = layer.infer(np.array([[0.0, 0.0, 0.0], [5.0, -2.0, 7.0]]))
         assert np.allclose(y, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_relu_hand_computed(self):
         layer = make_dense([[1.0, 2.0], [0.0, 1.0]], [0.5, -0.5], "relu")
         # pre-activation [-0.5, -1.5], both clipped
-        assert np.allclose(layer.forward([[1.0, -1.0]])[0], [[0.0, 0.0]])
+        assert np.allclose(layer.infer(np.array([[1.0, -1.0]])), [[0.0, 0.0]])
 
     def test_shape_mismatch(self):
-        layer = make_dense(np.eye(2), [0.0, 0.0])
+        # Dense.infer trusts its caller; MLP checks the batch at its boundary
+        mlp = MLP([2, 2], ["identity"], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            layer.forward([[1.0, 2.0, 3.0]])
-
-    def test_vector_input_rejected(self):
-        # layers take batches only; the models lift a vector at their boundary
-        layer = make_dense(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            layer.forward([1.0, 2.0])
-
-    def test_gradient_shape_checked(self):
-        # both gradients would broadcast against the (2, 2) batch unchecked
-        layer = make_dense(np.eye(2), [0.0, 0.0], "tanh")
-        _, cache = layer.forward(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            layer.backward(np.ones((1, 2)), cache)
-        with pytest.raises(ValueError):
-            layer.backward_preactivation(np.ones(2), cache)
+            mlp.infer([[1.0, 2.0, 3.0]])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         layer = Dense(4, 3, "tanh", rng)
         xs = rng.standard_normal((5, 4))
-        batch, _ = layer.forward(xs)
+        batch = layer.infer(xs)
         for k in range(5):
-            single, _ = layer.forward(xs[k : k + 1])
-            # batched and one-row matmuls may take different BLAS paths
-            assert np.allclose(batch[k], single[0], rtol=0, atol=1e-12)
+            # a batch's product is a matmul, a row's a matrix-vector product
+            assert np.allclose(batch[k], layer.infer(xs[k]), rtol=0, atol=1e-12)
 
     def test_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(2)
         for act in ("identity", "relu", "tanh", "softmax"):
             layer = Dense(6, 4, act, rng)
-            y, cache = layer.forward(rng.standard_normal((8, 6)) * 50)
-            assert np.all(np.isfinite(y))
-            dx, dw, db = layer.backward(rng.standard_normal(y.shape), cache)
+            x = rng.standard_normal((8, 6)) * 50
+            assert np.all(np.isfinite(layer.infer(x)))
+            ws, (dw, db) = workspace([layer], 8)
+            dx = ws.backward(rng.standard_normal(ws.forward(x).shape), input_grad=True)
             assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dw)) and np.all(np.isfinite(db))
 
     @given(
@@ -92,8 +81,8 @@ class TestDenseForward:
         layer = Dense(5, 3, "identity", rng)
         layer.b[...] = 0.0
         x, y = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
-        lhs = layer.forward(alpha * x + beta * y)[0]
-        rhs = alpha * layer.forward(x)[0] + beta * layer.forward(y)[0]
+        lhs = layer.infer(alpha * x + beta * y)
+        rhs = alpha * layer.infer(x) + beta * layer.infer(y)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -184,27 +173,29 @@ class TestCrossEntropy:
 
 
 class TestBackward:
+    """ChainWorkspace.backward, the trainers' reverse pass."""
+
     def test_linear(self):
         # loss = w * x with x = 2: dloss/dw = 2
-        layer = make_dense([[1.5]], [0.0])
-        y, cache = layer.forward(np.array([[2.0]]))
-        _, d_w, _ = layer.backward(np.array([[1.0]]), cache)
+        ws, (d_w, _) = workspace([make_dense([[1.5]], [0.0])], 1)
+        ws.forward(np.array([[2.0]]))
+        ws.backward(np.array([[1.0]]))
         assert d_w[0, 0] == pytest.approx(2.0)
 
     def test_quadratic(self):
         # loss = (w - 3)^2 at w = 1 has gradient -4; realized as a dense layer
         # with input 1 feeding the squared-error loss against target 3
-        layer = make_dense([[1.0]], [0.0])
-        y, cache = layer.forward(np.array([[1.0]]))
+        ws, (d_w, _) = workspace([make_dense([[1.0]], [0.0])], 1)
+        y = ws.forward(np.array([[1.0]]))
         # d/dy of 0.5*(y-3)^2, doubled below
-        _, d_w, _ = layer.backward(y - np.array([[3.0]]), cache)
+        ws.backward(y - np.array([[3.0]]))
         assert 2.0 * d_w[0, 0] == pytest.approx(-4.0)
 
     def test_gradient_shapes_match_parameters(self):
         rng = np.random.default_rng(5)
         mlp = MLP([4, 6, 3], ["tanh", "identity"], rng)
-        y, caches = mlp.forward(rng.standard_normal((2, 4)))
-        _, grads = mlp.backward(np.ones_like(y), caches)
+        ws, grads = workspace(mlp.layers, 2)
+        ws.backward(np.ones_like(ws.forward(rng.standard_normal((2, 4)))))
         assert [g.shape for g in grads] == [p.shape for p in mlp.parameters()]
 
     def test_mlp_gradient_matches_finite_differences(self):
@@ -212,55 +203,35 @@ class TestBackward:
         mlp = MLP([3, 5, 2], ["tanh", "identity"], rng)
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
-
-        def loss():
-            y, _ = mlp.forward(x)
-            return float(squared_error(y, target).sum())
-
-        y, caches = mlp.forward(x)
-        _, grads = mlp.backward(y - target, caches)
-        report = grad_check(loss, mlp.parameters(), grads, eps=1e-5)
+        ws, grads = workspace(mlp.layers, 4)
+        ws.backward(ws.forward(x) - target)
+        report = grad_check(
+            lambda: float(squared_error(mlp.infer(x), target).sum()), mlp.parameters(), grads, eps=1e-5
+        )
         assert report.max_rel_error < 1e-6
 
-    def test_softmax_activation_backward(self):
-        rng = np.random.default_rng(7)
-        layer = Dense(4, 3, "softmax", rng)
-        x = rng.standard_normal((1, 4))
-        d_y = rng.standard_normal((1, 3))
 
-        def loss():
-            return float(np.dot(layer.forward(x)[0][0], d_y[0]))
-
-        _, cache = layer.forward(x)
-        _, d_w, d_b = layer.backward(d_y, cache)
-        report = grad_check(loss, layer.parameters(), [d_w, d_b], eps=1e-5)
-        assert report.max_rel_error < 1e-7
+def relu_margins(layers, x):
+    """The pre-activations of the relu layers on x: a probe that changes the
+    sign of one straddles a kink."""
+    caches = zip(layers, forward(layers, x))
+    return np.concatenate([z.ravel() for layer, (_, z, _) in caches if layer.activation == "relu"])
 
 
 def _mlp_loss_setup(seed, activations):
+    """A squared-error loss on an MLP: the loss through the inference pass,
+    its gradients through ChainWorkspace, and the relu margins."""
     rng = np.random.default_rng(seed)
     mlp = MLP([4, 8, 5, 2], activations, rng)
     x = rng.standard_normal((3, 4))
     target = rng.standard_normal((3, 2))
+    ws, grads = workspace(mlp.layers, 3)
+    ws.backward(ws.forward(x) - target)
 
     def loss():
-        y, _ = mlp.forward(x)
-        return float(squared_error(y, target).sum())
+        return float(squared_error(mlp.infer(x), target).sum())
 
-    def analytic():
-        y, caches = mlp.forward(x)
-        return mlp.backward(y - target, caches)[1]
-
-    def margins():
-        values = []
-        h = x
-        for layer in mlp.layers:
-            h, cache = layer.forward(h)
-            if layer.activation == "relu":
-                values.append(cache[1].ravel())
-        return np.concatenate(values) if values else np.zeros(1)
-
-    return mlp, loss, analytic, margins
+    return mlp, loss, grads, lambda: relu_margins(mlp.layers, x)
 
 
 class TestGradCheck:
@@ -274,8 +245,17 @@ class TestGradCheck:
         # from these primitives matches central differences to 1e-6
         worst = 0.0
         for seed in range(100):
-            mlp, loss, analytic, _ = _mlp_loss_setup(seed, ["tanh", "tanh", "identity"])
-            report = grad_check(loss, mlp.parameters(), analytic(), eps=1e-5)
+            mlp, loss, grads, _ = _mlp_loss_setup(seed, ["tanh", "tanh", "identity"])
+            report = grad_check(loss, mlp.parameters(), grads, eps=1e-5)
+            worst = max(worst, report.max_rel_error)
+        # the VAE's loss, at every fifth point
+        for seed in range(0, 100, 5):
+            rng = np.random.default_rng(seed)
+            vae = VaeModel(4, 2, 2, hidden=(5,), rng=rng)
+            x, y, noise = rng.standard_normal((3, 4)), rng.integers(0, 2, size=3), rng.standard_normal((3, 2))
+            alpha, beta = rng.uniform(0.2, 3.0, size=2)
+            loss = lambda: loss_and_gradients(vae, x, y, alpha, beta, noise)
+            report = grad_check(lambda: loss()[0].total, vae.parameters(), loss()[1], eps=1e-5)
             worst = max(worst, report.max_rel_error)
         assert worst < 1e-6
 
@@ -287,24 +267,37 @@ class TestGradCheck:
         layer.b[...] = 0.0
         x = np.array([[0.0, 1.0]])  # first unit sits exactly on the kink
 
-        def loss():
-            return float(layer.forward(x)[0].sum())
-
-        def margins():
-            _, cache = layer.forward(x)
-            return cache[1].ravel()
-
-        _, cache = layer.forward(x)
-        _, _, d_b = layer.backward(np.ones((1, 2)), cache)
-        report = grad_check(loss, [layer.b], [d_b], eps=1e-5, kink_margins=margins)
+        ws, (_, d_b) = workspace([layer], 1)
+        ws.forward(x)
+        ws.backward(np.ones((1, 2)))
+        report = grad_check(
+            lambda: float(layer.infer(x).sum()),
+            [layer.b],
+            [d_b],
+            eps=1e-5,
+            kink_margins=lambda: relu_margins([layer], x),
+        )
         assert report.n_skipped >= 1
         assert report.max_rel_error < 1e-6
 
     def test_relu_mlp_with_masking(self):
         worst = 0.0
         for seed in range(20):
-            mlp, loss, analytic, margins = _mlp_loss_setup(seed, ["relu", "relu", "identity"])
-            report = grad_check(loss, mlp.parameters(), analytic(), eps=1e-5, kink_margins=margins)
+            mlp, loss, grads, margins = _mlp_loss_setup(seed, ["relu", "relu", "identity"])
+            report = grad_check(loss, mlp.parameters(), grads, eps=1e-5, kink_margins=margins)
+            worst = max(worst, report.max_rel_error)
+            # the classifier: relu hidden layers, fused softmax + cross entropy
+            rng = np.random.default_rng(seed)
+            clf = Classifier(4, 3, hidden=(8, 5), rng=rng)
+            x, y = rng.standard_normal((3, 4)), rng.integers(0, 3, size=3)
+            _, grads = clf.loss_and_gradients(x, y)
+            report = grad_check(
+                lambda: float(cross_entropy_from_labels(clf.predict_proba(x), y).sum()),
+                clf.parameters(),
+                grads,
+                eps=1e-5,
+                kink_margins=lambda: relu_margins(clf.mlp.layers, x),
+            )
             worst = max(worst, report.max_rel_error)
         assert worst < 1e-6
 

@@ -1,5 +1,5 @@
-"""The training step through preallocated workspaces, against a verbatim copy
-of the cache-based pass it replaced.
+"""The training step through preallocated workspaces, against the cache-based
+pass it replaced (reference_nn).
 
 Every comparison is bitwise: the workspace path runs the same floating-point
 operations in the same order, only into buffers allocated once per (model,
@@ -31,10 +31,12 @@ from latent_anon.models import (
 from latent_anon.models.classifier import ClassifierWorkspace
 from latent_anon.models.vae import VaeWorkspace
 from latent_anon.nn import Adam, cross_entropy_from_labels, squared_error
+from latent_anon.nn.layers import check_batch
 from latent_anon.nn.losses import as_labels
+from reference_nn import backward, classifier_loss, forward
 
 
-# -- the replaced pass, kept verbatim --------------------------------------
+# -- the replaced loss and trainer loop ----------------------------------------
 
 
 def reference_vae_loss(model, x, labels, alpha, beta, noise):
@@ -50,14 +52,18 @@ def reference_vae_loss(model, x, labels, alpha, beta, noise):
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (x.shape[0], model.latent_dim):
         raise ValueError(f"noise shape {noise.shape} does not match (batch, latent_dim)")
+    check_batch(x, model.input_dim)
 
-    h, enc_caches = model.encoder.forward(x)
-    mu, mu_cache = model.mu_head.forward(h)
-    logvar, lv_cache = model.logvar_head.forward(h)
+    enc_caches = forward(model.encoder.layers, x)
+    h = enc_caches[-1][2]
+    mu_cache = forward([model.mu_head], h)
+    lv_cache = forward([model.logvar_head], h)
+    mu, logvar = mu_cache[0][2], lv_cache[0][2]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * noise
-    x_hat, dec_caches = model.decoder.forward(z)
-    probs, cls_cache = model.class_head.forward(z)
+    dec_caches = forward(model.decoder.layers, z)
+    cls_cache = forward([model.class_head], z)
+    x_hat, probs = dec_caches[-1][2], cls_cache[0][2]
 
     recon = float(squared_error(x, x_hat).sum())
     kl = float(kl_gaussian(LatentDistribution(mu, logvar)).sum())
@@ -71,40 +77,22 @@ def reference_vae_loss(model, x, labels, alpha, beta, noise):
         beta=beta,
     )
 
-    d_z, dec_grads = model.decoder.backward(x_hat - x, dec_caches)
+    d_z, dec_grads = backward(model.decoder.layers, dec_caches, x_hat - x)
     # fused softmax + cross entropy; exact while probs stay above the log floor
     g = probs.copy()
     g[np.arange(y.size), y] -= 1.0
     g *= alpha
-    d_z_cls, d_w_cls, d_b_cls = model.class_head.backward_preactivation(g, cls_cache)
+    d_z_cls, cls_grads = backward([model.class_head], cls_cache, g)
     d_z = d_z + d_z_cls
 
     d_mu = d_z + beta * mu
     d_logvar = d_z * noise * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0)
-    d_h, d_w_mu, d_b_mu = model.mu_head.backward(d_mu, mu_cache)
-    d_h_lv, d_w_lv, d_b_lv = model.logvar_head.backward(d_logvar, lv_cache)
+    d_h, mu_grads = backward([model.mu_head], mu_cache, d_mu)
+    d_h_lv, lv_grads = backward([model.logvar_head], lv_cache, d_logvar)
     d_h = d_h + d_h_lv
-    _, enc_grads = model.encoder.backward(d_h, enc_caches, input_grad=False)
+    _, enc_grads = backward(model.encoder.layers, enc_caches, d_h, input_grad=False)
     # same order as VaeModel.parameters()
-    grads = enc_grads + [d_w_mu, d_b_mu, d_w_lv, d_b_lv] + dec_grads + [d_w_cls, d_b_cls]
-    return breakdown, grads
-
-
-def reference_classifier_loss(self, x, labels):
-    """Classifier.loss_and_gradients before the workspace."""
-    y = as_labels(labels)
-    probs, caches = self.mlp.forward(x)
-    ce = cross_entropy_from_labels(probs, y)
-    g = probs.copy()
-    g[np.arange(y.size), y] -= 1.0
-    layers = self.mlp.layers
-    last = len(layers) - 1
-    d, d_w, d_b = layers[last].backward_preactivation(g, caches[last], last > 0)
-    grads = [d_w, d_b]
-    for k in reversed(range(last)):
-        d, d_w, d_b = layers[k].backward(d, caches[k], k > 0)
-        grads[:0] = (d_w, d_b)
-    return float(ce.sum()), grads
+    return breakdown, enc_grads + mu_grads + lv_grads + dec_grads + cls_grads
 
 
 def reference_fit(model, loss_and_grads, n, config, rng):
@@ -144,7 +132,7 @@ def reference_train_vae(x, y, config, n_private):
 def reference_train_classifier(x, y, config, n_classes):
     rng = np.random.default_rng(config.seed)
     model = Classifier(x.shape[1], n_classes, attribute="private", hidden=config.hidden, rng=rng)
-    loss_and_grads = lambda idx: reference_classifier_loss(model, x[idx], y[idx])
+    loss_and_grads = lambda idx: classifier_loss(model, x[idx], y[idx])
     return model, reference_fit(model, loss_and_grads, x.shape[0], config, rng)
 
 
@@ -246,7 +234,7 @@ class TestClassifierStepAgainstReference:
         model = Classifier(dim, n_classes, hidden=hidden, rng=rng)
         x = scale * rng.standard_normal((batch, dim))
         y = rng.integers(0, n_classes, size=batch)
-        ref_loss, ref_grads = reference_classifier_loss(model, x, y)
+        ref_loss, ref_grads = classifier_loss(model, x, y)
 
         loss, grads = model.loss_and_gradients(x, y)
         assert loss == ref_loss
@@ -338,7 +326,7 @@ class TestErrorsUnchanged:
         else:
             x, y = x[:0], y[:0]
         self.assert_same_error(
-            lambda: reference_classifier_loss(model, x, y),
+            lambda: classifier_loss(model, x, y),
             lambda: model.loss_and_gradients(x, y),
         )
 

@@ -38,14 +38,14 @@ class TestComputeMeanTable:
         z = np.array([1.0, -2.0])
         table = compute_mean_table([(z, 0, 0)], 1, 1)
         assert np.array_equal(table.mean(0, 0), z)
-        assert table.count(0, 0) == 1
+        assert table.counts[0, 0] == 1
 
     def test_two_latents_average(self):
         table = compute_mean_table(
             [(np.array([0.0, 0.0]), 0, 0), (np.array([2.0, 4.0]), 0, 0)], 1, 1
         )
         assert np.allclose(table.mean(0, 0), [1.0, 2.0])
-        assert table.count(0, 0) == 2
+        assert table.counts[0, 0] == 2
 
     def test_matches_brute_force_accumulate_and_divide(self):
         rng = np.random.default_rng(0)
@@ -64,7 +64,7 @@ class TestComputeMeanTable:
         for key, acc in sums.items():
             expected = np.array(acc) / counts[key]
             assert np.allclose(table.mean(*key), expected, atol=1e-12)
-            assert table.count(*key) == counts[key]
+            assert table.counts[key] == counts[key]
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -92,8 +92,6 @@ class TestComputeMeanTable:
         assert table.has(0, 0) and not table.has(1, 1)
         with pytest.raises(TableError, match=r"\(u=1, i=1\)"):
             table.mean(1, 1)
-        with pytest.raises(TableError):
-            table.count(0, 1)
 
 
 class TestTransferVector:
