@@ -163,9 +163,7 @@ def _load_models_dir(models_dir):
 def _build_registry(args):
     vaes, public_clf, private_clf = _load_models_dir(args.models)
     table = load_table(args.table)
-    mode = {"det": "deterministic", "prob": "probabilistic", "reconstruct": "identity"}.get(
-        args.mode, args.mode
-    )
+    mode = {"det": "deterministic", "prob": "probabilistic"}.get(args.mode, args.mode)
     policy = ModifyPolicy(mode=mode, n_classes=private_clf.n_classes)
     registry = ModelRegistry(
         vaes=vaes,
@@ -329,7 +327,7 @@ def cmd_means(args, out):
     vaes, _, _ = _load_models_dir(args.models)
     # training split only; the table is the broadcast payload
     table = encode_mean_table(vaes, train, meta.n_public, meta.n_private)
-    save_table(table, out.path(Path(args.out_file).name if args.out_file else "table.zbar"))
+    save_table(table, out.path("table.zbar"))
     cells = sorted(table.cells())
     print(f"mean table over {len(train)} train embeddings; cells: {cells}")
     return 0
@@ -516,8 +514,7 @@ def build_parser():
     p = sub.add_parser("means", help="compute the class-mean latent table from the train split")
     p.add_argument("--archive", required=True)
     p.add_argument("--models", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--out-file", default="table.zbar")
+    p.add_argument("--out", required=True, help="output directory for table.zbar")
     p.set_defaults(func=cmd_means)
 
     p = sub.add_parser("anonymize", help="run the anonymization pipeline over an archive or stream")
@@ -549,7 +546,7 @@ def build_parser():
     p.add_argument("--archive", required=True)
     p.add_argument("--models", required=True)
     p.add_argument("--table", help="required unless --mode none")
-    p.add_argument("--mode", choices=["det", "prob", "reconstruct", "none"], default="det")
+    p.add_argument("--mode", choices=["det", "prob", "identity", "none"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

@@ -2,9 +2,10 @@
 
 A schema names the channel columns, the sampling rate, and a path regex with
 named groups that carry the per-file metadata: ``subject`` (required) plus
-optionally ``trial``, ``public`` and ``private``. The private label can come
-from the path group, from a subjects table (one CSV joined on the subject
-id), or from a numeric weight column that is binned into weight groups.
+optionally ``trial``, ``public`` and ``private``. The private label comes
+from a subjects table (one CSV joined on the subject id) exactly when the
+schema names one, and otherwise from the path group; a numeric weight column
+can be binned into weight groups.
 
 Presets for the common inertial-sensor dataset layouts are provided; real
 recordings are supplied by the user and never ship with this package.
@@ -34,7 +35,6 @@ class CsvSchema:
     path_pattern: str
     public_classes: list | None = None
     private_classes: list | None = None
-    private_from: str = "pattern"  # "pattern" | "table"
     subjects_table: str | None = None
     subjects_key: str | None = None
     private_column: str | None = None
@@ -86,7 +86,6 @@ def motionsense_schema():
         path_pattern=r"(?P<public>dws|ups|wal|jog)_(?P<trial>\d+)/sub_(?P<subject>\d+)\.csv$",
         public_classes=["dws", "ups", "wal", "jog"],
         private_classes=["0", "1"],
-        private_from="table",
         subjects_table="data_subjects_info.csv",
         subjects_key="code",
         private_column="gender",
@@ -106,7 +105,6 @@ def mobiact_schema(private="gender"):
         path_pattern=r"(?P<public>WAL|STD|JOG|STU)_(?P<subject>\d+)_(?P<trial>\d+)[^/]*\.csv$",
         public_classes=["WAL", "STD", "JOG", "STU"],
         private_classes=None if private == "weight" else ["0", "1"],
-        private_from="table",
         subjects_table="subjects_info.csv",
         subjects_key="id",
         private_column="weight" if private == "weight" else "gender",
@@ -186,9 +184,8 @@ def load_csv_dir(root, schema):
     root = Path(root)
     pattern = re.compile(schema.path_pattern)
     problems = []
-    subjects = {}
-    if schema.private_from == "table":
-        subjects = _load_subjects_table(root, schema, problems)
+    from_table = schema.subjects_table is not None
+    subjects = _load_subjects_table(root, schema, problems) if from_table else {}
 
     series = []
     matched = 0
@@ -216,7 +213,7 @@ def load_csv_dir(root, schema):
             else:
                 attributes["public"] = int(value)
         subject = groups["subject"]
-        if schema.private_from == "table":
+        if from_table:
             if subject not in subjects:
                 problems.append(f"{path}: subject {subject!r} not in the subjects table")
                 continue

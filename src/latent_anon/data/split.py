@@ -52,13 +52,18 @@ def subject_split(embeddings, train_fraction, seed=0):
 
 
 def trial_split(embeddings, test_trials):
-    """Hold out the embeddings whose trial number is in test_trials."""
+    """Hold out the embeddings whose trial number is in test_trials. Both
+    sides must be nonempty."""
     test_trials = set(test_trials)
     train, test = [], []
     for e in embeddings:
         if e.trial is None:
             raise ValueError("trial-based split needs trial numbers on every embedding")
         (test if e.trial in test_trials else train).append(e)
+    if not train or not test:
+        trials = sorted({e.trial for e in embeddings})
+        raise ValueError(f"test trials {sorted(test_trials)} leave the {'test' if train else 'train'} "
+                         f"side of the trial-based split empty; the embeddings' trials are {trials}")
     subjects = lambda items: sorted({e.subject_id for e in items}, key=str)
     return DatasetSplit(
         train=train, test=test, train_subjects=subjects(train), test_subjects=subjects(test)

@@ -24,7 +24,11 @@ from .types import SensorSeries
 @dataclass
 class SynthConfig:
     """Defaults give whole-cycle frequencies at a 32 Hz rate, so windows cut
-    at multiples of half the rate share their phase; see window_alignment."""
+    at multiples of half the rate share their phase (stride 16 at 32 Hz).
+    When every class frequency completes whole cycles per stride, aligned
+    windows of one class share their phase, so each (u, i) class forms a
+    single template cluster instead of a phase circle; latent class means
+    then separate cleanly, which the mean-shift transformation relies on."""
 
     n_public: int = 4
     n_private: int = 2
@@ -38,9 +42,6 @@ class SynthConfig:
     seed: int = 0
     base_freq_hz: float = 2.0
     freq_step_hz: float = 2.0
-    amp_base: float = 1.0
-    amp_step: float = 1.0
-    offset_step: float = 1.0
 
 
 def _check_config(cfg):
@@ -52,28 +53,12 @@ def _check_config(cfg):
         raise ValueError("degenerate generator config")
 
 
-def window_alignment(cfg, stride):
-    """True when every class frequency completes whole cycles per stride.
-
-    Aligned windows of one class share their phase, so each (u, i) class
-    forms a single template cluster instead of a phase circle; latent class
-    means then separate cleanly, which the mean-shift transformation relies
-    on. The defaults are aligned for stride 16 at 32 Hz.
-    """
-    for u in range(cfg.n_public):
-        freq = cfg.base_freq_hz + u * cfg.freq_step_hz * cfg.separation
-        cycles = freq * stride / cfg.sampling_rate_hz
-        if abs(cycles - round(cycles)) > 1e-9:
-            return False
-    return True
-
-
 def class_template(cfg, public, private, t_indices):
     """Noise-free (len(t), C) signal block for one class pair."""
     t = np.asarray(t_indices, dtype=float) / cfg.sampling_rate_hz
     freq = cfg.base_freq_hz + public * cfg.freq_step_hz * cfg.separation
-    amp = cfg.amp_base + private * cfg.amp_step * cfg.separation
-    offset = public * cfg.offset_step * cfg.separation
+    amp = 1.0 + private * cfg.separation
+    offset = public * cfg.separation
     phase_private = 2.0 * math.pi * private / (cfg.n_private + 1)
     phase_channel = 2.0 * math.pi * np.arange(cfg.n_channels) / (cfg.n_channels + 1)
     angle = 2.0 * math.pi * freq * t[:, None] + phase_private + phase_channel[None, :]

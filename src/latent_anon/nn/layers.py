@@ -30,39 +30,27 @@ parameters() order, so the trainer updates the whole model with one Adam
 step.
 """
 
-import math
-
 import numpy as np
 
-from .losses import LOG_FLOOR, softmax
+from .losses import LOG_FLOOR, softmax_inplace
 
 ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
-
-
-def _activate(name, z):
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "softmax":
-        return softmax(z, axis=-1)
-    raise ValueError(f"unknown activation {name!r}")
-
 
 # A float64 zero as a 0-d array: a ufunc takes it about 0.2 us faster than
 # the Python float 0.0, which it must first convert, with the same result.
 _ZERO = np.zeros(())
 
 
-def _activate_inplace(name, z):
-    """_activate(name, z), written into z where the activation allows."""
+def _activate_inplace(name, z, row=None):
+    """The activation name, one of ACTIVATIONS, applied to the float array z
+    in place; returns z. row is softmax_inplace's optional row buffer."""
     if name == "relu":
         return np.maximum(z, _ZERO, out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
-    return _activate(name, z)
+    if name == "softmax":
+        return softmax_inplace(z, row)
+    return z
 
 
 def _activation_backward_inplace(name, y, d, scratch):
@@ -165,8 +153,7 @@ class MLP:
 
     def infer(self, x):
         """The chain's output for a (sizes[0],) row or a (B, sizes[0])
-        batch: logits, with the last activation applied in place where
-        _activate_inplace allows."""
+        batch: logits, with the last activation applied in place."""
         return _activate_inplace(self.activations[-1], self.logits(x))
 
     def parameters(self):
@@ -241,25 +228,8 @@ class ChainWorkspace:
         for _, w_t, b, activation, out, *_ in self._layers:
             np.matmul(x, w_t, out=out)
             out += b
-            if activation == "softmax":
-                self._softmax(out)
-            else:
-                _activate_inplace(activation, out)
-            x = out
+            x = _activate_inplace(activation, out, self.row)
         return x
-
-    def _softmax(self, z):
-        if z.size == 0:
-            raise ValueError("softmax of an empty input")
-        # the sum is finite only if every logit is
-        if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
-            raise ValueError("softmax requires finite logits")
-        row = self.row
-        np.maximum.reduce(z, axis=-1, keepdims=True, out=row)
-        z -= row
-        np.exp(z, out=z)
-        np.add.reduce(z, axis=-1, keepdims=True, out=row)
-        z /= row
 
     def cross_entropy(self, labels):
         """For a chain ending in softmax, after forward: the summed

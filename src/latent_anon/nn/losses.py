@@ -1,24 +1,36 @@
 """Loss functions and the softmax used throughout the model zoo."""
 
+import math
+
 import numpy as np
 
 LOG_FLOOR = 1e-12
 
 
-def softmax(logits, axis=-1):
-    """Numerically stable softmax.
+def softmax(logits):
+    """Numerically stable softmax over the last axis.
 
     Subtracts the per-row maximum before exponentiation, so constant shifts
     of the logits leave the output unchanged and no overflow can occur.
     """
-    logits = np.asarray(logits, dtype=float)
-    if logits.size == 0:
+    return softmax_inplace(np.array(logits, dtype=float, ndmin=1))
+
+
+def softmax_inplace(z, row=None):
+    """softmax(z) written into the float array z, which is returned. row, a
+    z.shape[:-1] + (1,) buffer for the per-row maximum and sum, spares the
+    training pass an allocation. An empty or non-finite z raises ValueError."""
+    if z.size == 0:
         raise ValueError("softmax of an empty input")
-    if not np.all(np.isfinite(logits)):
+    # the sum is finite only if every logit is
+    if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    row = np.maximum.reduce(z, axis=-1, keepdims=True, out=row)
+    z -= row
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=-1, keepdims=True, out=row)
+    z /= row
+    return z
 
 
 def as_labels(labels):

@@ -1,15 +1,16 @@
 """Writes tests/data/training_golden.jsonl, the committed results of a
-fixed-seed train_classifier and train_vae run that test_training_golden
-checks.
+fixed-seed train_classifier and train_vae run, and of the mean table the
+trained VAE encodes, that test_training_golden checks.
 
 The data come from integer formulas (make_pipeline_golden.formula): ROWS rows
 of DIM values, row k labelled k % N_PRIVATE and shifted by its label, all of
 public class 0. Both trainers run CONFIG: EPOCHS epochs in batches of 8, the
 last batch of each epoch partial. The first line of the file holds the
-environment tag and the SHA-256 of both parameter vectors and both loss
-histories; each further line is one model's loss history and parameter
-vector. Rerun only when training's results change on purpose, and say why in
-CHANGES.md:
+environment tag and the SHA-256 of both parameter vectors, both loss
+histories and the table; the next two lines are each one model's loss
+history and parameter vector, and the last the table's means and counts
+(encode_mean_table over the same rows). Rerun only when training's results
+change on purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/make_training_golden.py
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 from latent_anon.data import Embedding
 from latent_anon.models import TrainConfig, train_classifier, train_vae
+from latent_anon.pipeline import encode_mean_table
 from make_pipeline_golden import environment, formula
 
 PATH = Path(__file__).parent / "data" / "training_golden.jsonl"
@@ -35,32 +37,38 @@ def dataset():
 
 
 def run_models():
-    """{name: (parameter vector, loss history)} of both trainers."""
+    """{name: (parameter vector, loss history)} of both trainers, and the
+    mean table the trained VAE encodes."""
     embeddings = dataset()
     classifier, classifier_history = train_classifier(embeddings, "private", CONFIG, n_classes=N_PRIVATE)
     vae, vae_history = train_vae(embeddings, CONFIG, n_private=N_PRIVATE)
-    return {
+    models = {
         "classifier": (classifier.parameter_vector, classifier_history),
         "vae": (vae.parameter_vector, vae_history),
     }
+    return models, encode_mean_table({0: vae}, embeddings, 1, N_PRIVATE)
 
 
-def digest(models):
+def digest(models, table):
     """SHA-256 over each model's name, parameters as float64 little-endian
-    and loss history: equal only if every bit is."""
+    and loss history, then the table's means and counts: equal only if every
+    bit is."""
     h = hashlib.sha256()
     for name, (parameters, history) in models.items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(parameters, dtype="<f8").tobytes())
         h.update(np.asarray(history, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(table.means, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(table.counts, dtype="<u8").tobytes())
     return h.hexdigest()
 
 
 def main():
-    models = run_models()
-    lines = [json.dumps({"environment": environment(), "sha256": digest(models)})]
+    models, table = run_models()
+    lines = [json.dumps({"environment": environment(), "sha256": digest(models, table)})]
     for name, (parameters, history) in models.items():
         lines.append(json.dumps({"model": name, "history": history, "parameters": parameters.tolist()}))
+    lines.append(json.dumps({"means": table.means.tolist(), "counts": table.counts.tolist()}))
     PATH.write_text("\n".join(lines) + "\n")
     print(f"wrote {PATH} ({len(models)} models)")
 

@@ -72,7 +72,6 @@ class TestPrepare:
             "path_pattern": r"(?P<public>[a-z]+)_(?P<trial>\d+)/sub_(?P<subject>\d+)\.csv$",
             "public_classes": ["walk"],
             "private_classes": ["0", "1"],
-            "private_from": "table",
             "subjects_table": "subjects.csv",
             "subjects_key": "code",
             "private_column": "gender",
@@ -236,18 +235,18 @@ class TestEvalAttackBench:
         assert w["public_after"] >= 0.8
 
     def test_eval_config_echo_reparses(self, workspace, tmp_path):
-        out = tmp_path / "eval_reconstruct"
+        out = tmp_path / "eval_identity"
         assert main([
             "eval", "--archive", str(workspace["data"]), "--models", str(workspace["models"]),
-            "--table", str(workspace["table"]), "--mode", "reconstruct", "--out", str(out),
+            "--table", str(workspace["table"]), "--mode", "identity", "--out", str(out),
         ]) == 0
         echo = json.loads((out / "config.json").read_text())
-        assert echo["mode"] == "reconstruct"
+        assert echo["mode"] == "identity"
         args = build_parser().parse_args([
             "eval", "--archive", echo["archive"], "--models", echo["models"],
             "--table", echo["table"], "--mode", echo["mode"], "--out", echo["out"],
         ])
-        assert args.mode == "reconstruct"
+        assert args.mode == "identity"
 
     def test_attack_reproducible(self, workspace, tmp_path):
         reports = []
@@ -441,6 +440,33 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "n_subjectz" in err
+        assert list(out.iterdir()) == []
+
+    def test_removed_synth_config_key_is_named(self, tmp_path, capsys):
+        # the amplitude base is the constant 1.0, no longer a setting
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"amp_base": 1.0}))
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", "synth", "--synth-config", str(cfg), "--out", str(out),
+            "--window", "8", "--stride", "4",
+        ])
+        assert code == 1
+        assert "['amp_base']" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_trial_split_with_an_empty_side_fails(self, tmp_path, capsys):
+        # synthetic trials are numbered 0 and 1, so the default held-out
+        # trials 11-16 leave the test side empty
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", "synth", "--split", "trial", "--out", str(out),
+            "--window", "32", "--stride", "16",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: test trials [11, 12, 13, 14, 15, 16] leave the test side")
+        assert "trials are [0, 1]" in err
         assert list(out.iterdir()) == []
 
     def test_unknown_schema_key(self, tmp_path, capsys):

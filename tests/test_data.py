@@ -167,6 +167,13 @@ class TestTrialSplit:
         with pytest.raises(ValueError):
             trial_split([Embedding(x=np.zeros(2))], {1})
 
+    @pytest.mark.parametrize("test_trials, side", [({11, 12}, "test"), ({1, 2}, "train")])
+    def test_empty_side_rejected(self, test_trials, side):
+        embeddings = [Embedding(x=np.zeros(2), trial=t) for t in (1, 2)]
+        with pytest.raises(ValueError, match=rf"leave the {side} side of the trial-based split empty; "
+                                             r"the embeddings' trials are \[1, 2\]"):
+            trial_split(embeddings, test_trials)
+
 
 class TestLabelSpace:
     def test_validates_counts(self):
@@ -322,7 +329,6 @@ def simple_schema():
         path_pattern=r"(?P<public>[a-z]+)_(?P<trial>\d+)/sub_(?P<subject>\d+)\.csv$",
         public_classes=["walk", "jog"],
         private_classes=["0", "1"],
-        private_from="table",
         subjects_table="subjects.csv",
         subjects_key="code",
         private_column="gender",
@@ -402,6 +408,25 @@ class TestCsvLoader:
         path.write_text(json.dumps(asdict(schema)))
         loaded = CsvSchema.from_json(path)
         assert loaded == schema
+
+    def test_schema_json_removed_key_is_named(self, tmp_path):
+        # the subjects table alone decides where the private label comes from
+        import json
+        from dataclasses import asdict
+
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({**asdict(simple_schema()), "private_from": "table"}))
+        with pytest.raises(CsvFormatError, match=r"unknown keys in schema .*\['private_from'\]"):
+            CsvSchema.from_json(path)
+
+    def test_private_label_from_the_path_without_a_table(self, tmp_path):
+        write_simple_tree(tmp_path)
+        (tmp_path / "walk_1" / "sub_1.csv").rename(tmp_path / "walk_1" / "sub_1_p1.csv")
+        schema = simple_schema()
+        schema.path_pattern = r"(?P<public>[a-z]+)_(?P<trial>\d+)/sub_(?P<subject>\d+)_p(?P<private>\d)\.csv$"
+        schema.subjects_table = None
+        series = load_csv_dir(tmp_path, schema)
+        assert [s.attributes for s in series] == [{"trial": 1, "public": 0, "private": 1}]
 
     @pytest.mark.parametrize("raw", [5, [], ["channels"]])
     def test_schema_json_not_an_object(self, tmp_path, raw):

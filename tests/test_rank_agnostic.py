@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from latent_anon.models import Classifier, LatentDistribution, VaeModel
 from latent_anon.nn import ACTIVATIONS, MLP, Dense
-from latent_anon.nn.layers import _activate, _activate_inplace, check_batch
+from latent_anon.nn.layers import _activate_inplace, check_batch
 from latent_anon.pipeline import ModelRegistry, anonymize_batch, anonymize_stream
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin
 
@@ -54,8 +54,22 @@ def lifted_logits(mlp, x):
     return z
 
 
+def lifted_activate(name, z):
+    if name == "identity":
+        return z
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "softmax":
+        # the out-of-place softmax arithmetic of the time
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    raise ValueError(f"unknown activation {name!r}")
+
+
 def lifted_mlp_infer(mlp, x):
-    return _activate(mlp.activations[-1], lifted_logits(mlp, x))
+    return lifted_activate(mlp.activations[-1], lifted_logits(mlp, x))
 
 
 def lifted_predict_proba(clf, x):

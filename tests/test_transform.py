@@ -2,6 +2,8 @@
 file format."""
 
 import hashlib
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +200,36 @@ class TestModifyPolicy:
     def test_identity_mode_checks_range(self):
         with pytest.raises(ValueError, match=r"class 7 outside \[0, 2\)"):
             ModifyPolicy(mode="identity", n_classes=2).modify(7)
+
+
+class TestBayesCeiling:
+    """The best accuracy at recovering the true private class i from the
+    released target t, for an attacker who knows the mapping, with i uniform
+    on [0, M) and a fair coin: the sum over t of max over i of P(i, t)."""
+
+    M = 3
+
+    def ceiling(self, mode):
+        policy = ModifyPolicy(mode=mode, n_classes=self.M)
+        joint = defaultdict(Fraction)
+        for i in range(self.M):
+            for coin in (ConstantCoin(True), ConstantCoin(False)):
+                target, _ = policy.modify(i, coin)
+                joint[target, i] += Fraction(1, 2 * self.M)
+        best = defaultdict(Fraction)
+        for (target, _), p in joint.items():
+            best[target] = max(best[target], p)
+        return sum(best.values())
+
+    def test_deterministic_mode_hides_nothing(self):
+        assert self.ceiling("deterministic") == 1
+
+    def test_probabilistic_mode_leaks_above_chance(self):
+        # Pins today's leak: the cyclic shift releases i or i + 1, so t names
+        # i with probability 1/2 while chance is 1/M = 1/3. A uniform random
+        # shift (i + s) mod M lowers the ceiling to 1/M; this test must then
+        # assert Fraction(1, self.M).
+        assert self.ceiling("probabilistic") == Fraction(1, 2)
 
 
 class TestApplyTransfer:
