@@ -212,8 +212,11 @@ def cmd_prepare(args, out):
         raise ArchiveError("no complete windows; check --window against the series lengths")
     n_channels = series[0].n_channels
 
+    # an explicit --test-trials wins over the schema's test trials
+    if args.test_trials is not None:
+        test_trials = _parse_ints(args.test_trials)
     if args.split == "trial" or (args.split == "auto" and test_trials):
-        split = trial_split(embeddings, test_trials or _parse_ints(args.test_trials))
+        split = trial_split(embeddings, test_trials or [11, 12, 13, 14, 15, 16])
     else:
         split = subject_split(embeddings, args.fraction, seed=args.seed)
 
@@ -486,7 +489,9 @@ def build_parser():
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("--split", choices=["auto", "subject", "trial"], default="auto")
     p.add_argument("--fraction", type=float, default=0.8)
-    p.add_argument("--test-trials", default="11,12,13,14,15,16")
+    p.add_argument("--test-trials",
+                   help="comma-separated trials held out by the trial split; overrides the "
+                        "schema's test_trials (default: the schema's, else 11,12,13,14,15,16)")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prepare)

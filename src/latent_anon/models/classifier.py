@@ -64,8 +64,7 @@ class Classifier:
         flat = logits.ravel()
         if not math.isfinite(flat.dot(flat)) and not np.isfinite(logits).all():
             raise ValueError("predict requires finite logits")
-        labels = logits.argmax(axis=-1)
-        return int(labels) if logits.ndim == 1 else labels
+        return int(logits.argmax()) if logits.ndim == 1 else logits.argmax(axis=-1)
 
     def loss_and_gradients(self, x, labels, workspace=None):
         """Summed cross entropy over the batch plus gradients aligned with

@@ -58,8 +58,8 @@ def sample_latent(dist, noise):
     the one new buffer that logvar / 2 makes (IEEE addition commutes, so
     adding mu last is bitwise the same)."""
     noise = np.asarray(noise, dtype=float)
-    if noise.shape != np.shape(dist.mu):
-        raise ValueError(f"noise shape {noise.shape} does not match mu {np.shape(dist.mu)}")
+    if noise.shape != dist.mu.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match mu {dist.mu.shape}")
     z = np.multiply(_HALF, dist.logvar)
     np.exp(z, out=z)
     z *= noise

@@ -11,13 +11,14 @@ For each embedding the six steps run in order:
     6. decode z_hat with the decoder of class u.
 
 anonymize_embedding is their one implementation, which rows, streams,
-batches, archives, the attack and the stage timings all run. A (D,) row is
-one group, every model call on the vector. A (B, D) batch takes each step
-once for all rows: both classifiers see the whole batch, the rows are
-grouped by predicted u so each group makes one encode and one decode call,
-the noise is one (B, J) draw, and Modify still flips one coin per row in
-row order. Its outputs equal those of its rows one by one up to float
-summation order.
+batches, archives, the attack and the stage timings all run. A (D,) row
+takes each step on its own values: every model call sees the vector, and
+Modify, the shift and the CRC handle one value each, with no group, index
+or per-row list. A (B, D) batch takes each step once for all rows: both
+classifiers see the whole batch, the rows are grouped by predicted u so
+each group makes one encode and one decode call, the noise is one (B, J)
+draw, and Modify still flips one coin per row in row order. Its outputs
+equal those of its rows one by one up to float summation order.
 
 The latent is always sampled, z = mu + exp(logvar / 2) * noise, with the
 noise drawn from the caller's noise source; a source of zeros gives the
@@ -131,9 +132,11 @@ def anonymize_embedding(
     of the models' input width, or on each row of a nonempty (B, D) batch;
     any other shape raises ValueError naming it.
 
-    A row gives (x_hat, record) and makes every model call on the vector; a
-    batch gives ((B, D) outputs, records numbered index, index + 1, ...)
-    and calls each classifier once and each VAE once per predicted public
+    A row gives (x_hat, record): every model call sees the vector, the VAE
+    is its class's with no grouping, Modify is one policy call, the shift
+    moves the sampled latent in place and the CRC is one value. A batch
+    gives ((B, D) outputs, records numbered index, index + 1, ...) and
+    calls each classifier once and each VAE once per predicted public
     class. A failure names the lowest row that causes it as
     "embedding index + k". noise_rng provides the standard-normal draw for
     the latent sample, row after row; a source whose standard_normal
@@ -147,6 +150,7 @@ def anonymize_embedding(
     if x.shape != (dim,) and (x.ndim != 2 or x.shape[1] != dim or not x.shape[0]):
         raise ValueError(f"expected a ({dim},) row or a (B, {dim}) batch, got shape {x.shape}")
     _check_finite(x, index, "the row")
+    batched = x.ndim == 2
     timed = timings is not None
 
     t0 = perf_counter() if timed else 0.0
@@ -160,99 +164,116 @@ def anonymize_embedding(
         timings.add("classify_private", perf_counter() - t0)
 
     table = registry.mean_table
-    groups = _groups(u, registry.vaes, table.latent_dim, index)
+    if batched:
+        groups = _groups(u, registry.vaes, table.latent_dim, index)
+    else:
+        vae = _vae(registry.vaes, u, table.latent_dim, index)
 
     t0 = perf_counter() if timed else 0.0
     rng = noise_rng if noise_rng is not None else _DEFAULT_RNG
-    noise = rng.standard_normal(x.shape[:-1] + (table.latent_dim,))
-    z_hat = None
-    for _, rows, vae in groups:
-        z_hat = _place(z_hat, rows, sample_latent(vae.encode(x[rows]), noise[rows]), len(x))
+    if batched:
+        noise = rng.standard_normal((len(x), table.latent_dim))
+        z_hat = None
+        for rows, vae in groups:
+            z_hat = _place(z_hat, rows, sample_latent(vae.encode(x[rows]), noise[rows]), len(x))
+    else:
+        z_hat = sample_latent(vae.encode(x), rng.standard_normal(table.latent_dim))
     if timed:
         timings.add("encode", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    modified = []
+    k = 0
     try:
-        for k, i_k in enumerate(i.tolist() if x.ndim == 2 else [i]):
-            modified.append(registry.policy.modify(i_k, coin))
+        if batched:
+            modified = []
+            for k, i_k in enumerate(i.tolist()):
+                modified.append(registry.policy.modify(i_k, coin))
+            targets, applied = zip(*modified)
+        else:
+            targets, applied = registry.policy.modify(i, coin)
     except ValueError as exc:
         raise ValueError(f"embedding {index + k}: {exc}") from exc
-    targets, applied = zip(*modified)
-    _transfer(z_hat, table, u, i, targets, index)
+    if batched:
+        _transfer(z_hat, table, u, i, targets, index)
+    elif targets != i:
+        _move(z_hat, table, u, i, targets, index)
     # a log-variance above about 1,419 overflows exp(logvar / 2) to inf
     _check_finite(z_hat, index, "the sampled latent")
-    crcs = [zlib.crc32(z) for z in z_hat] if x.ndim == 2 else [zlib.crc32(z_hat)]
+    crcs = [zlib.crc32(z) for z in z_hat] if batched else zlib.crc32(z_hat)
     if timed:
         timings.add("transform", perf_counter() - t0)
 
     t0 = perf_counter() if timed else 0.0
-    outputs = None
-    for _, rows, vae in groups:
-        outputs = _place(outputs, rows, vae.decode(z_hat[rows]), len(x))
+    if batched:
+        outputs = None
+        for rows, vae in groups:
+            outputs = _place(outputs, rows, vae.decode(z_hat[rows]), len(x))
+    else:
+        outputs = vae.decode(z_hat)
     if timed:
         timings.add("decode", perf_counter() - t0)
 
-    if x.ndim == 1:
-        return outputs, AnonymizationRecord(index, u, i, targets[0], applied[0], crcs[0])
+    if not batched:
+        return outputs, AnonymizationRecord(index, u, i, targets, applied, crcs)
     columns = zip(u.tolist(), i.tolist(), targets, applied, crcs)
     return outputs, [AnonymizationRecord(index + k, *fields) for k, fields in enumerate(columns)]
 
 
 def _groups(u, vaes, latent_dim, index):
-    """(public class, rows, VAE) per predicted class, ordered by the first
-    row that predicts it. A row is one group whose rows, ..., take it whole;
-    a batch group's rows are the numbers of the rows that predict it. A
-    class with no VAE, or one of another latent width than the table's,
-    fails naming that first row."""
-    if isinstance(u, np.ndarray):
-        classes, first = np.unique(u, return_index=True)
-        found = sorted(zip(first.tolist(), classes.tolist()))
-        groups = [(c, np.flatnonzero(u == c), vaes.get(c)) for _, c in found]
-    else:
-        groups = [(u, ..., vaes.get(u))]
-    for c, rows, vae in groups:
-        if vae is None or vae.latent_dim != latent_dim:
-            where = f"embedding {index if rows is ... else index + rows[0]}"
-            if vae is None:
-                raise PipelineError(f"{where}: no VAE registered for predicted public class {c}")
-            raise ValueError(
-                f"{where}: latent has shape ({vae.latent_dim},), table expects ({latent_dim},)"
-            )
-    return groups
+    """(rows, VAE) per public class a batch predicts, ordered by the first
+    row that predicts it; a group's rows are the numbers of the rows that
+    predict it. A class without a usable VAE fails naming that first row."""
+    classes, first = np.unique(u, return_index=True)
+    return [
+        (np.flatnonzero(u == c), _vae(vaes, c, latent_dim, index + k))
+        for k, c in sorted(zip(first.tolist(), classes.tolist()))
+    ]
+
+
+def _vae(vaes, c, latent_dim, index):
+    """The VAE of public class c. None registered, or one of another latent
+    width than the table's, fails naming embedding index."""
+    vae = vaes.get(c)
+    if vae is None:
+        raise PipelineError(f"embedding {index}: no VAE registered for predicted public class {c}")
+    if vae.latent_dim != latent_dim:
+        raise ValueError(
+            f"embedding {index}: latent has shape ({vae.latent_dim},), table expects ({latent_dim},)"
+        )
+    return vae
 
 
 def _transfer(z_hat, table, u, i, targets, index):
-    """z - mean(u, i) + mean(u, i') in place on each latent whose target i'
-    is not its predicted i, the arithmetic of transform.apply_transfer: a
-    row's own move, or a batch's one move per distinct (u, i, i'), in the
-    order of their lowest rows. A move from or to a cell the table lacks
-    fails naming its lowest row."""
-    if isinstance(u, np.ndarray):
-        t = np.array(targets)
-        moved = t != i
-        moves = []
-        for c, a, b in set(zip(u[moved].tolist(), i[moved].tolist(), t[moved].tolist())):
-            selected = (u == c) & (i == a) & (t == b)
-            moves.append((int(selected.argmax()), selected, c, a, b))
-        moves.sort(key=lambda move: move[0])
-    else:
-        moves = [(0, ..., u, i, targets[0])] if targets[0] != i else []
+    """_move on each latent of a batch whose target i' is not its predicted
+    i: one move per distinct (u, i, i'), in the order of their lowest rows,
+    each named by its lowest row."""
+    t = np.array(targets)
+    moved = t != i
+    moves = []
+    for c, a, b in set(zip(u[moved].tolist(), i[moved].tolist(), t[moved].tolist())):
+        selected = (u == c) & (i == a) & (t == b)
+        moves.append((int(selected.argmax()), selected, c, a, b))
+    moves.sort(key=lambda move: move[0])
     for k, selected, c, a, b in moves:
-        try:
-            moved = z_hat[selected]
-            moved -= table.mean(c, a)
-            moved += table.mean(c, b)
-        except TableError as exc:
-            raise TableError(f"embedding {index + k}: {exc}") from exc
+        moved = z_hat[selected]
+        _move(moved, table, c, a, b, index + k)
         z_hat[selected] = moved
 
 
+def _move(z, table, u, i, target, index):
+    """z - mean(u, i) + mean(u, target) in place, the arithmetic of
+    transform.apply_transfer; a cell the table lacks fails naming embedding
+    index."""
+    try:
+        z -= table.mean(u, i)
+        z += table.mean(u, target)
+    except TableError as exc:
+        raise TableError(f"embedding {index}: {exc}") from exc
+
+
 def _place(joined, rows, part, n):
-    """A row's part as the result (its rows are ...), or a batch group's
-    part copied into its rows of joined, made (n, width) on first use."""
-    if rows is ...:
-        return part
+    """A batch group's part copied into its rows of joined, made (n, width)
+    on first use."""
     if joined is None:
         joined = np.empty((n, part.shape[1]))
     joined[rows] = part
@@ -315,9 +336,10 @@ def anonymize_stream(samples, window, stride, registry, noise_rng=None, coin=Non
     `stride` rows. Yields (x_hat, record) pairs in arrival order; noise_rng
     and coin are anonymize_embedding's, shared by the windows. Rows are
     appended to a contiguous buffer of window + max(window, stride) rows,
-    so each window is a view into it; when the buffer is full its last
-    window - 1 rows move to the front. The generator owns the buffer, so
-    each stream has a single writer by construction.
+    so each window is a slice of one flat view of it, no copy and no
+    reshape; when the buffer is full its last window - 1 rows move to the
+    front. The generator owns the buffer, so each stream has a single
+    writer by construction.
 
     A first row whose width times `window` is not the models' input dim
     raises PipelineError at once; a failing window raises PipelineError
@@ -343,6 +365,7 @@ def anonymize_stream(samples, window, stride, registry, noise_rng=None, coin=Non
                     f"values, the models expect {dim}"
                 )
             buffer = np.empty((capacity, n_channels))
+            flat = buffer.reshape(-1)
         elif row.size != n_channels:
             raise PipelineError(
                 f"channel count changed mid-stream: {row.size} after {n_channels}"
@@ -355,8 +378,8 @@ def anonymize_stream(samples, window, stride, registry, noise_rng=None, coin=Non
         due -= 1
         if not due:
             due = stride
-            window_x = buffer[end - window : end].reshape(-1)
-            yield _anonymize_window(window_x, registry, index, noise_rng, coin)
+            stop = end * n_channels
+            yield _anonymize_window(flat[stop - dim : stop], registry, index, noise_rng, coin)
             index += 1
 
 

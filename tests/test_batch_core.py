@@ -226,8 +226,22 @@ class TestBatchErrors:
         reg = registry(5, 1, 2, "deterministic", 0)
         # deterministic Modify moves every row between cells (0, 0) and (0, 1)
         reg.mean_table = MeanLatentTable(1, 2, 3, {(0, 0): (np.zeros(3), 1)})
-        with pytest.raises(PipelineError, match=r"^embedding 0: no mean latent recorded for cell \(u=0, i=1\)$"):
-            anonymize_batch(list(self.rows()), reg, noise_rng=np.random.default_rng(0))
+        missing = r"no mean latent recorded for cell \(u=0, i=1\)$"
+        x = self.rows()
+        with pytest.raises(PipelineError, match=rf"^embedding 0: {missing}"):
+            anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"^embedding 7: {missing}"):
+            anonymize_embedding(x[3], reg, index=7, noise_rng=np.random.default_rng(0))
+        # a one-channel stream whose windows are the rows of x; the coin
+        # keeps the first two windows where they are and moves the third
+        reg.policy = ModifyPolicy(mode="probabilistic", n_classes=2)
+        stream = anonymize_stream(
+            x.reshape(-1), 5, 5, reg, noise_rng=np.random.default_rng(0),
+            coin=SequenceCoin([False, False, True]),
+        )
+        assert len([next(stream), next(stream)]) == 2
+        with pytest.raises(PipelineError, match=rf"^window 2: {missing}"):
+            next(stream)
 
     def test_latent_width_mismatch_names_the_lowest_row(self):
         reg = registry(5, 2, 2, "deterministic", 0, unpredicted=False)
@@ -251,6 +265,13 @@ class TestBatchErrors:
         first = int(np.sum(i == 0))
         with pytest.raises(PipelineError, match=rf"^embedding {first}: class 1 outside"):
             anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^embedding 7: class 1 outside"):
+            anonymize_embedding(x[first], reg, index=7, noise_rng=np.random.default_rng(0))
+        # a one-channel stream whose windows are the rows of x
+        stream = anonymize_stream(x.reshape(-1), 5, 5, reg, noise_rng=np.random.default_rng(0))
+        assert len([next(stream) for _ in range(first)]) == first
+        with pytest.raises(PipelineError, match=rf"^window {first}: class 1 outside"):
+            next(stream)
 
 
 

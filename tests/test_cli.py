@@ -88,6 +88,41 @@ class TestPrepare:
         # failed runs leave no partial outputs behind
         assert not (out / "train.emba").exists()
 
+    def test_test_trials_flag_overrides_the_schema(self, tmp_path):
+        # three trials of different lengths for two subjects: window 2 and
+        # stride 2 give n // 2 windows per subject from a trial of n rows
+        for trial, n in ((1, 12), (2, 8), (3, 6)):
+            (tmp_path / f"walk_{trial}").mkdir()
+            for subject in (1, 2):
+                rows = "".join(f"{k},{k * subject}\n" for k in range(n))
+                (tmp_path / f"walk_{trial}" / f"sub_{subject}.csv").write_text("a,b\n" + rows)
+        (tmp_path / "subjects.csv").write_text("code,gender\n1,0\n2,1\n")
+        schema = {
+            "channels": ["a", "b"],
+            "sampling_rate_hz": 10.0,
+            "path_pattern": r"(?P<public>[a-z]+)_(?P<trial>\d+)/sub_(?P<subject>\d+)\.csv$",
+            "public_classes": ["walk"],
+            "private_classes": ["0", "1"],
+            "subjects_table": "subjects.csv",
+            "subjects_key": "code",
+            "private_column": "gender",
+            "test_trials": [3],
+        }
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema))
+
+        def n_test(name, *flags):
+            out = tmp_path / name
+            assert main([
+                "prepare", "--schema", str(schema_path), "--data", str(tmp_path),
+                "--out", str(out), "--window", "2", "--stride", "2", *flags,
+            ]) == 0
+            return json.loads((out / "manifest.json").read_text())["n_test"]
+
+        assert n_test("schema") == 2 * 3
+        assert n_test("auto", "--test-trials", "1") == 2 * 6
+        assert n_test("trial", "--split", "trial", "--test-trials", "1,2") == 2 * (6 + 4)
+
 
 class TestTrain:
     def test_model_files_exist(self, workspace):

@@ -2,7 +2,10 @@
 the stream's contiguous ring against windows cut explicitly from the rows
 (every form a row may arrive in, and the rows it must reject),
 predict's one-dot-product finiteness check, and the in-place sample_latent and
-apply_transfer against their textbook formulas."""
+apply_transfer against their textbook formulas. Also the calls one stream
+window makes, as a tracer that wraps them counts them."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from latent_anon import pipeline
 from latent_anon.models import Classifier, LatentDistribution, VaeModel, sample_latent
 from latent_anon.pipeline import ModelRegistry, PipelineError, anonymize_embedding, anonymize_stream
-from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
+from latent_anon.transform import (
+    MeanLatentTable,
+    ModifyPolicy,
+    SecureCoin,
+    SequenceCoin,
+    apply_transfer,
+)
 from reference_nn import forward
 
 seeds = st.integers(0, 2**32 - 1)
@@ -236,3 +246,42 @@ class TestApplyTransfer:
         expected = z if i_prime == i else z - table.mean(u, i) + table.mean(u, i_prime)
         assert z_hat.tobytes() == expected.tobytes()
         assert z.tobytes() == before and not np.shares_memory(z_hat, z)
+
+
+class TestTracedCalls:
+    """perfbench's tracer wraps methods on their classes and the core as a
+    module attribute. One probabilistic window must make exactly one Modify
+    call, one secure coin flip and four model calls, and reach the core
+    through the module global, so per-window coin and model counts keep
+    their meaning."""
+
+    def test_each_window_makes_one_modify_one_flip_and_four_model_calls(self, monkeypatch):
+        calls = Counter()
+
+        def count(owner, attr):
+            original = owner.__dict__[attr]
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for owner, attr in [
+            (ModifyPolicy, "modify"),
+            (SecureCoin, "flip"),
+            (Classifier, "predict"),
+            (VaeModel, "encode"),
+            (VaeModel, "decode"),
+            (pipeline, "anonymize_embedding"),
+        ]:
+            count(owner, attr)
+        reg = registry(6, "probabilistic", 0)
+        rows = np.random.default_rng(1).normal(size=(43, 2))
+        windows = list(anonymize_stream(rows, 3, 2, reg, noise_rng=np.random.default_rng(2)))
+        n = len(windows)
+        assert n == 21
+        assert calls == {
+            "modify": n, "flip": n, "predict": 2 * n, "encode": n, "decode": n,
+            "anonymize_embedding": n,
+        }
