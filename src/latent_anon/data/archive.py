@@ -64,8 +64,10 @@ def save_embeddings(path, embeddings, meta):
 
 def load_embeddings(path):
     """Returns (embeddings, meta). Subject and origin provenance is not stored."""
-    raw = Path(path).read_bytes()
-    header, body = container.unframe(raw, MAGIC, VERSION, _HEADER, ArchiveError)
+    return container.unframe(Path(path).read_bytes(), MAGIC, VERSION, _HEADER, ArchiveError, _parse)
+
+
+def _parse(header, body):
     meta, count = ArchiveMeta(*header[:5]), header[5]
     records = container.records(body, _record_dtype(meta.dim), count, ArchiveError)
     bad = (records["public"] >= meta.n_public) | (records["private"] >= meta.n_private)

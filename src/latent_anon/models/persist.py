@@ -65,8 +65,11 @@ def load_model(path):
     """Rebuild a model from disk. Returns (model, metadata dict). The body's
     size is checked against the parameter count the metadata's dims imply
     before the model is built, so no dims allocate more than the file holds."""
-    raw = Path(path).read_bytes()
-    (meta_len,), body = container.unframe(raw, MAGIC, VERSION, _HEADER, ContainerError)
+    return container.unframe(Path(path).read_bytes(), MAGIC, VERSION, _HEADER, ContainerError, _parse)
+
+
+def _parse(header, body):
+    (meta_len,) = header
     if len(body) < meta_len:
         raise ContainerError("truncated model metadata")
     try:

@@ -14,8 +14,11 @@ equal to ChainWorkspace.forward's. A row's product is W.dot(x): the same BLAS
 matrix-vector kernel that x @ W.T of a one-row batch reaches, with the same
 bits at every deployed shape and in thousands of random ones, but at about
 half the per-call cost of the matmul ufunc. dot releases the GIL where @
-does not, so only rows take it: a batch, such as each call the attack's
-threads make, keeps @.
+does not at small sizes, so only rows take it: a batch, such as each call
+the attack's threads make, keeps @. At batch sizes @ releases the GIL too:
+two (1320, 768) @ (768, 64) products took 6.7 ms back to back and 4.0 ms on
+two threads (p5, 2 vCPU). MLP.logits relies on that when it runs a large
+batch as row blocks on the process's cores (cores.map_rows).
 
 The trainers run ChainWorkspace on (B, n) batches: forward, then a
 reverse-mode backward, written into arrays allocated once per (model, batch
@@ -32,9 +35,16 @@ step.
 
 import numpy as np
 
+from .. import cores
 from .losses import LOG_FLOOR, softmax_inplace
 
 ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
+
+# The multiply-adds a row block must carry to pay for its hand-off to a pool
+# thread: two blocks against one break even on a 384 x 96 classifier batch
+# (3.2 M), take 0.72 of the time on a 220-row group at D = 768 (11.3 M) and
+# 0.49 on 1,320 rows (68 M).
+_BLOCK_MACS = 4_000_000
 
 # A float64 zero as a 0-d array: a ufunc takes it about 0.2 us faster than
 # the Python float 0.0, which it must first convert, with the same result.
@@ -139,15 +149,28 @@ class MLP:
         ]
         self.sizes = tuple(sizes)
         self.activations = tuple(activations)
+        self._row_macs = sum(a * b for a, b in zip(sizes, sizes[1:]))
 
     def logits(self, x):
         """The last layer's pre-activation for a (sizes[0],) row or a
-        (B, sizes[0]) batch, checked once here; a row gives a row."""
+        (B, sizes[0]) batch, checked once here; a row gives a row. A batch
+        of at least two _BLOCK_MACS multiply-adds runs as row blocks on the
+        process's cores (cores.map_rows), each block the whole chain into
+        its rows of one output array."""
         x = check_rows(x, self.sizes[0])
+        if x.ndim == 2:
+            blocks = cores.blocks(len(x), len(x) * self._row_macs, _BLOCK_MACS)
+            if blocks > 1:
+                return cores.map_rows(self._chain, x, np.empty((len(x), self.sizes[-1])), blocks)
+        return self._chain(x)
+
+    def _chain(self, x, out=None):
+        """logits of a checked row or batch; a batch's last product is
+        written into out when given."""
         for layer in self.layers[:-1]:
             x = layer.infer(x)
         last = self.layers[-1]
-        z = last.W.dot(x) if x.ndim == 1 else x @ last.W.T
+        z = last.W.dot(x) if x.ndim == 1 else np.matmul(x, last.W.T, out=out)
         z += last.b
         return z
 

@@ -233,8 +233,12 @@ def save_table(table, path):
 
 
 def load_table(path):
-    raw = Path(path).read_bytes()
-    dims, body = container.unframe(raw, TABLE_MAGIC, TABLE_VERSION, _HEADER, TableError)
+    return container.unframe(
+        Path(path).read_bytes(), TABLE_MAGIC, TABLE_VERSION, _HEADER, TableError, _parse_table
+    )
+
+
+def _parse_table(dims, body):
     n_public, n_private, latent_dim = dims
     records = container.records(body, _record_dtype(latent_dim), n_public * n_private, TableError)
     records = records.reshape(n_public, n_private)

@@ -5,11 +5,18 @@ loss_and_gradients. forward returns one (input, pre-activation, output) cache
 per layer, and backward consumes them; a softmax layer takes the fused
 softmax + cross-entropy gradient w.r.t. its pre-activation, as ChainWorkspace
 does.
+
+row_blocks patches the process's core count (and the block floor), so a
+test can run MLP.logits as row blocks, or as the one call they must equal.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 
-from latent_anon.nn import cross_entropy_from_labels, softmax
+from latent_anon import cores
+from latent_anon.nn import cross_entropy_from_labels, layers, softmax
 from latent_anon.nn.layers import ChainWorkspace, check_batch, layer_views
 from latent_anon.nn.losses import as_labels
 
@@ -62,3 +69,15 @@ def workspace(layers, batch):
     of a fresh flat vector aligned with the layers' parameters()."""
     views = layer_views(layers, np.empty(sum(p.size for layer in layers for p in layer.parameters())))
     return ChainWorkspace(layers, batch, views), [g for pair in views for g in pair]
+
+
+@contextlib.contextmanager
+def row_blocks(n_cores, floor=None):
+    """Run with n_cores as the process's core count and, when given, floor as
+    the multiply-adds a row block must carry (1: every batch of two or more
+    rows is split). Yields a spy on cores.map_rows, the blocked path; one
+    core is the one-block reference."""
+    floor = layers._BLOCK_MACS if floor is None else floor
+    with mock.patch.object(cores, "_CORES", n_cores), mock.patch.object(layers, "_BLOCK_MACS", floor), \
+            mock.patch.object(cores, "map_rows", wraps=cores.map_rows) as spy:
+        yield spy

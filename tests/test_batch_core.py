@@ -4,7 +4,10 @@ the replaced row path (reference_pipeline) over one noise generator and one
 coin. Summation order in the batched matmuls may
 differ, so outputs must agree within 1e-8; predicted classes, targets and
 applied flags must be equal on every row. A one-row batch at the deployed
-widths equals the row call bitwise, its latent CRC included."""
+widths equals the row call bitwise, its latent CRC included. A batch whose
+model calls run as row blocks on several cores equals the one-block call:
+within 1e-8 with the same records at any width, bitwise at the deployed
+ones."""
 
 import dataclasses
 
@@ -24,6 +27,7 @@ from latent_anon.pipeline import (
     anonymize_stream,
 )
 from latent_anon.transform import MeanLatentTable, ModifyPolicy, SequenceCoin, apply_transfer
+from reference_nn import row_blocks
 from reference_pipeline import reference_anonymize_embedding
 
 seeds = st.integers(0, 2**32 - 1)
@@ -321,3 +325,45 @@ class TestNonFiniteLatent:
             anonymize_embedding(x, reg, index=10, noise_rng=np.random.default_rng(0))
         with pytest.raises(PipelineError, match=rf"^embedding {first}: .*sampled latent$"):
             anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(2, 40),
+    dim=st.integers(1, 60),
+    n_public=st.integers(1, 3),
+    mode=st.sampled_from(["deterministic", "probabilistic"]),
+    n_cores=st.integers(2, 4),
+    seed=seeds,
+)
+def test_row_blocks_equal_one_block(n_rows, dim, n_public, mode, n_cores, seed):
+    reg = registry(dim, n_public, 2, mode, seed, unpredicted=False)
+    x = np.random.default_rng(seed).normal(scale=2.0, size=(n_rows, dim))
+    flips = np.random.default_rng(seed).integers(0, 2, size=n_rows).tolist()
+
+    def run():
+        return anonymize_embedding(x, reg, noise_rng=np.random.default_rng(seed), coin=SequenceCoin(flips))
+
+    with row_blocks(1):
+        expected, expected_records = run()
+    with row_blocks(n_cores, floor=1) as spy:
+        outputs, records = run()
+    assert spy.call_count >= 2  # both classifiers, and each group of two or more rows
+    np.testing.assert_allclose(outputs, expected, rtol=0, atol=ATOL)
+    # the latent CRC is of z_hat's bits, which agree only within ATOL here
+    assert without_crc(records) == without_crc(expected_records)
+
+
+def test_row_blocks_are_bitwise_at_the_deployed_shapes():
+    """D = 768, hidden (64, 32), latent 8, 1,320 rows over six public
+    classes, so each VAE sees a group of about 220 rows: the blocked batch
+    gives the one-block outputs and records bit for bit."""
+    reg = registry(768, 6, 2, "deterministic", 7, hidden=(64, 32), latent=8, unpredicted=False)
+    x = np.random.default_rng(7).normal(size=(1320, 768))
+    with row_blocks(1):
+        expected, expected_records = anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(7))
+    with row_blocks(4) as spy:
+        outputs, records = anonymize_batch(list(x), reg, noise_rng=np.random.default_rng(7))
+    assert spy.call_count >= 4
+    assert outputs.tobytes() == expected.tobytes()
+    assert records == expected_records

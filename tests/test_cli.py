@@ -420,7 +420,8 @@ class TestErrorPaths:
         shutil.copytree(workspace["models"], models)
         path = models / "vae_u0.lann"
         (meta_len,), body = unframe(
-            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError,
+            lambda header, body: (header, body),
         )
         meta = dict(json.loads(bytes(body[:meta_len])), input_dim=10**12)
         blob = json.dumps(meta).encode()
@@ -443,7 +444,8 @@ class TestErrorPaths:
         shutil.copytree(workspace["models"], models)
         path = models / "vae_u0.lann"
         header, body = unframe(
-            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+            path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError,
+            lambda header, body: (header, body),
         )
         write_framed(path, persist.MAGIC, persist.VERSION, struct.pack("<Q", *header), body[:-8])
         out = tmp_path / "anon"

@@ -1,27 +1,34 @@
 """The checked frame shared by EMBA archives, ZBAR1 tables and model files:
 corruption and truncation fail with each format's named error, and files
-written before the frame existed, which carry no checksum, are rejected."""
+written before the frame existed, which carry no checksum, are rejected.
+An archive above the overlap size, whose CRC runs on another core beside
+the I/O, fails and writes the same way."""
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_anon import container, cores
 from latent_anon.container import write_framed
 from latent_anon.data import ArchiveError, ArchiveMeta, Embedding, load_embeddings, save_embeddings
 from latent_anon.models import Classifier, ContainerError, load_model, save_model
 from latent_anon.transform import MeanLatentTable, TableError, load_table, save_table
 
 META = ArchiveMeta(window=3, stride=1, n_channels=2, n_public=3, n_private=2)
+# 60 records of 6,148 bytes: a frame above container._OVERLAP_BYTES
+LARGE_META = ArchiveMeta(window=64, stride=16, n_channels=12, n_public=3, n_private=2)
+LARGE_COUNT = 60
 
 
-def archive_embeddings(seed=0, n=6):
+def archive_embeddings(seed=0, n=6, meta=META):
     rng = np.random.default_rng(seed)
     return [
-        Embedding(x=rng.standard_normal(META.dim), true_public=int(rng.integers(3)),
+        Embedding(x=rng.standard_normal(meta.dim), true_public=int(rng.integers(3)),
                   true_private=int(rng.integers(2)))
         for _ in range(n)
     ]
@@ -42,6 +49,10 @@ def small_classifier():
 FORMATS = {
     "emba": (lambda path: save_embeddings(path, archive_embeddings(), META), load_embeddings,
              ArchiveError),
+    "emba-large": (
+        lambda path: save_embeddings(path, archive_embeddings(n=LARGE_COUNT, meta=LARGE_META), LARGE_META),
+        load_embeddings, ArchiveError,
+    ),
     "zbar": (lambda path: save_table(small_table(), path), load_table, TableError),
     "model": (lambda path: save_model(path, small_classifier(), training_seed=4), load_model,
               ContainerError),
@@ -159,3 +170,40 @@ class TestArchiveRecords:
         write_framed(path, b"EMBA1", 2, v1[6:start], v1[start:])
         with pytest.raises(ArchiveError, match="embedding 4"):
             load_embeddings(path)
+
+
+class TestOverlappedChecksum:
+    def test_large_archive_is_above_the_overlap_size(self, artefacts):
+        _, framed = artefacts
+        assert len(framed["emba-large"]) > container._OVERLAP_BYTES > len(framed["emba"])
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_flipped_label_reports_the_checksum_first(self, artefacts, n_cores, monkeypatch):
+        # the flip puts record 37's private label out of range, which the
+        # body's parse would name, but the CRC has not matched
+        monkeypatch.setattr(cores, "_CORES", n_cores)
+        directory, framed = artefacts
+        raw = bytearray(framed["emba-large"])
+        start = 6 + struct.calcsize("<IIIIIQ")  # magic, version, header
+        raw[start + 37 * (4 + 8 * LARGE_META.dim) + 2] = 9
+        path = directory / "label.emba"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArchiveError, match="checksum mismatch"):
+            load_embeddings(path)
+        # reframed with a valid CRC, the same body fails on the label
+        write_framed(path, b"EMBA1", 2, raw[6:start], raw[start:-4])
+        with pytest.raises(ArchiveError, match="embedding 37 has labels outside"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("size", [10, 400_000])
+    def test_write_framed_bytes_do_not_depend_on_the_overlap(self, tmp_path, size, monkeypatch):
+        body = np.random.default_rng(size).bytes(size)
+        files = []
+        for n_cores, overlap in ((1, 2**62), (2, 2**62), (2, 0), (3, 0)):
+            monkeypatch.setattr(cores, "_CORES", n_cores)
+            monkeypatch.setattr(container, "_OVERLAP_BYTES", overlap)
+            path = tmp_path / f"{n_cores}-{overlap}"
+            write_framed(path, b"TEST1", 1, b"head", body[:7], memoryview(body)[7:])
+            files.append(path.read_bytes())
+        assert files[0][-4:] == struct.pack("<I", zlib.crc32(b"TEST1\x01head" + body))
+        assert all(f == files[0] for f in files)

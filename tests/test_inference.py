@@ -2,20 +2,27 @@
 methods built on them, checked bitwise against the training pass's forward
 (ChainWorkspace) and, for logits, the reference pass; and the named errors
 that non-finite, empty or misshapen input raises through predict and the
-pipeline."""
+pipeline. A batch split into row blocks on several cores equals the one
+call."""
 
+import multiprocessing
 import re
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_anon import cores
 from latent_anon.models import Classifier, VaeModel
 from latent_anon.nn import ACTIVATIONS, MLP, Dense
 from latent_anon.pipeline import ModelRegistry, PipelineError, anonymize_batch, anonymize_embedding
 from latent_anon.transform import MeanLatentTable, ModifyPolicy
-from reference_nn import forward, workspace
+from reference_nn import forward, row_blocks, workspace
 
 dims = st.integers(1, 8)
 batches = st.integers(1, 6)
@@ -213,3 +220,161 @@ class TestBadShape:
         rows = [np.zeros(D), np.zeros(D), np.zeros(shape)]
         with pytest.raises(PipelineError, match=re.escape(f"embedding 2: expected a ({D},) row, got shape {shape}")):
             anonymize_batch(rows, make_registry(), noise_rng=np.random.default_rng(0))
+
+
+def random_mlp(sizes, activations, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    mlp = MLP(sizes, activations, rng)
+    randomize(mlp.parameters(), rng, scale)
+    return mlp
+
+
+class TestRowBlocks:
+    """MLP.logits splits a large batch into row blocks, one per core, the
+    first on the caller's thread; forced here by patching the core count
+    (and, for small widths, the multiply-add floor)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 24), min_size=2, max_size=5),
+        st.data(),
+        st.integers(2, 60),
+        st.integers(2, 6),
+        seeds,
+        scales,
+    )
+    def test_blocked_equals_one_block(self, sizes, data, batch, n_cores, seed, scale):
+        activations = data.draw(
+            st.lists(st.sampled_from(ACTIVATIONS), min_size=len(sizes) - 1, max_size=len(sizes) - 1)
+        )
+        mlp = random_mlp(sizes, activations, seed, scale)
+        x = np.random.default_rng(seed).normal(scale=scale, size=(batch, sizes[0]))
+        with row_blocks(1) as spy:
+            want = mlp.logits(x), mlp.infer(x)
+        assert spy.call_count == 0
+        with row_blocks(n_cores, floor=1) as spy:
+            got = mlp.logits(x), mlp.infer(x)
+        assert spy.call_count == 2
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-8)
+
+    @pytest.mark.parametrize("n_cores", [2, 3, 4])
+    def test_deployed_shapes_are_bitwise(self, n_cores):
+        """D = 768, hidden (64, 32), latent 8: both classifiers on 1,320
+        rows and a VAE on a 220-row group, as the archive workload runs
+        them, at the real multiply-add floor."""
+        rng = np.random.default_rng(n_cores)
+        clf = Classifier(768, 6, "public", rng=rng)
+        vae = VaeModel(768, 8, 2, rng=rng)
+        x = rng.normal(size=(1320, 768))
+        group = x[:220]
+
+        def calls():
+            dist = vae.encode(group)
+            return clf.mlp.logits(x), clf.predict_proba(x), dist.mu, dist.logvar, vae.decode(dist.mu)
+
+        with row_blocks(1):
+            want = calls()
+        with row_blocks(n_cores) as spy:
+            got = calls()
+        assert spy.call_count == 4
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    def test_rows_and_small_batches_never_start_the_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(cores, "_get_pool", no_pool)
+        rng = np.random.default_rng(0)
+        clf = Classifier(768, 6, "public", rng=rng)
+        attacker = Classifier(96, 2, "private", rng=rng)
+        with row_blocks(64):
+            clf.predict(rng.normal(size=768))
+            clf.predict(rng.normal(size=(16, 768)))
+            attacker.predict(rng.normal(size=(384, 96)))
+            anonymize_embedding(rng.normal(size=D), make_registry())
+            anonymize_embedding(rng.normal(size=(16, D)), make_registry())
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_a_failing_block_raises_on_the_caller(self, failing):
+        """The error reaches the caller only after every block has ended."""
+        mlp = random_mlp([4, 3, 2], ["relu", "identity"], 0)
+        x = np.zeros((4, 4))
+        bad_row = 0 if failing == "caller" else 2
+        x[bad_row, 0] = 7.0
+        finished = []
+        layer = mlp.layers[0]
+        infer = layer.infer
+
+        def patched(rows):
+            if rows[0, 0] == 7.0:
+                raise RuntimeError("bad block")
+            time.sleep(0.05)
+            finished.append(len(rows))
+            return infer(rows)
+
+        layer.infer = patched
+        with row_blocks(2, floor=1), pytest.raises(RuntimeError, match="bad block"):
+            mlp.logits(x)
+        assert finished == [2]
+
+    def test_threads_beyond_the_cores_get_their_own_results(self):
+        """More calling threads than cores, switching every microsecond:
+        each thread's blocked results equal the same calls made one at a
+        time."""
+        mlps = [random_mlp([40, 30, 20, 5], ["tanh", "relu", "identity"], k) for k in range(3)]
+        inputs = [np.random.default_rng(k).normal(size=(50 + 7 * k, 40)) for k in range(9)]
+        with row_blocks(3, floor=1):
+            expected = [mlps[k % 3].logits(x) for k, x in enumerate(inputs)]
+        mismatches, errors = [], []
+
+        def work(k):
+            try:
+                for _ in range(20):
+                    if not same_bits(mlps[k % 3].logits(inputs[k]), expected[k]):
+                        mismatches.append(k)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with row_blocks(3, floor=1):
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+
+    def test_a_forked_child_runs_its_own_blocks(self):
+        mlp = random_mlp([40, 30, 5], ["relu", "identity"], 1)
+        x = np.random.default_rng(1).normal(size=(64, 40))
+        with row_blocks(2, floor=1) as spy:
+            expected = mlp.logits(x)
+            assert spy.call_count == 1
+            child = multiprocessing.get_context("fork").Process(target=_check_logits, args=(mlp, x, expected))
+            child.start()
+            child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+
+def _check_logits(mlp, x, expected):
+    """A forked child's target: its blocked logits of x must equal expected."""
+    if cores._pool is not None or not same_bits(mlp.logits(x), expected):
+        sys.exit(1)
+
+
+def test_import_starts_no_thread():
+    code = (
+        "import threading, latent_anon, latent_anon.cores; "
+        "assert threading.active_count() == 1 and latent_anon.cores._pool is None"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

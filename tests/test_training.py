@@ -47,7 +47,8 @@ def model_bytes(model):
 def model_payload(path):
     """(JSON blob, parameter bytes) of a model file."""
     (meta_len,), body = unframe(
-        path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError
+        path.read_bytes(), persist.MAGIC, persist.VERSION, struct.Struct("<Q"), ContainerError,
+        lambda header, body: (header, body),
     )
     return bytes(body[:meta_len]), bytes(body[meta_len:])
 
