@@ -1,52 +1,48 @@
 """Command-line entry point: prepare, train, gridsearch, means, anonymize,
 attack, eval and bench subcommands over the library.
 
-Every successful run writes a config.json echo of its arguments next to its
-outputs so results can be reproduced exactly. All subcommands are
-deterministic under --seed except probabilistic anonymization, whose Modify
-coin intentionally comes from the OS secure random source; the seed still
-pins the latent sampling noise.
+Each subcommand parses its arguments, calls the library, writes its outputs
+through _Outputs and prints a summary. The library owns every format: model
+sets (models.persist.load_model_dir, and pipeline.load_registry for a whole
+registry), archives, tables and schemas. Every successful run writes a
+config.json echo of its arguments next to its outputs so results can be
+reproduced exactly; a failing run, whatever the exception, leaves none of its
+outputs behind. All subcommands are deterministic under --seed except
+probabilistic anonymization, whose Modify coin intentionally comes from the
+OS secure random source; the seed still pins the latent sampling noise.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bench as bench_mod
+from . import cores
 from .attack import AttackConfig, evaluate_utility_privacy, run_reid_attack
 from .data.archive import ArchiveError, ArchiveMeta, load_embeddings, save_embeddings
-from .data.csvload import CsvFormatError, CsvSchema, load_csv_dir, mobiact_schema, motionsense_schema
+from .data.csvload import SCHEMA_PRESETS, CsvFormatError, CsvSchema, load_csv_dir, read_json_config
 from .data.normalize import compute_norm_stats, normalize
 from .data.split import subject_split, trial_split
 from .data.types import LabelSpace
 from .data.synth import SynthConfig, synth_generate
 from .data.windowing import window_embeddings
 from .models.gridsearch import grid_search
-from .models.persist import ContainerError, load_model, save_model
+from .models.persist import load_model_dir, model_file, save_model
 from .models.training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
 from .pipeline import (
-    ModelRegistry,
     PipelineError,
     anonymize_batch,
     anonymize_stream,
     encode_mean_table,
+    load_registry,
     make_anonymizer,
-    validate_registry,
 )
-from .transform import ModifyPolicy, load_table, save_table
-
-
-def _thread_cap():
-    raw = os.environ.get("LATENT_ANON_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"LATENT_ANON_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+from .transform import save_table
 
 
 class _Outputs:
@@ -87,95 +83,30 @@ class _Outputs:
         self.path(name).write_text(text, encoding="utf-8")
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _parse_ints(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _resolve_schema(args):
-    name = args.schema
-    if name == "synth":
-        return None
-    if name == "motionsense":
-        return motionsense_schema()
-    if name == "mobiact":
-        return mobiact_schema()
-    if name == "mobiact-weight":
-        return mobiact_schema(private="weight")
-    return CsvSchema.from_json(name)
+def _parse_list(text, kind):
+    return [kind(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _load_split_archives(archive_arg):
     base = Path(archive_arg)
-    if base.is_dir():
-        train_path, test_path = base / "train.emba", base / "test.emba"
-    else:
+    if not base.is_dir():
         raise ArchiveError(f"{base} is not an archive directory (expected train.emba/test.emba)")
-    train, meta = load_embeddings(train_path)
-    test, meta_test = load_embeddings(test_path)
-    if (meta.window, meta.n_channels, meta.n_public, meta.n_private) != (
-        meta_test.window,
-        meta_test.n_channels,
-        meta_test.n_public,
-        meta_test.n_private,
-    ):
+    train, meta = load_embeddings(base / "train.emba")
+    test, meta_test = load_embeddings(base / "test.emba")
+    if meta != meta_test:
         raise ArchiveError("train and test archives disagree on their headers")
     return train, test, meta
 
 
-def _describe_model(kind, label):
-    return f"the VAE of public class {label!r}" if kind == "vae" else f"the {label} classifier"
+def _archive_file(archive_arg):
+    """An archive file, or the test archive of an archive directory."""
+    base = Path(archive_arg)
+    return base / "test.emba" if base.is_dir() else base
 
 
-def _load_named_model(path, kind, label):
-    """The model in path, which must be the one its file name says: a VAE of
-    public class label or a classifier of attribute label. A file that
-    fails to load is named in the error."""
-    try:
-        model, meta = load_model(path)
-    except ContainerError as exc:
-        raise ContainerError(f"{path}: {exc}") from exc
-    held = (meta["kind"], meta["public_class"] if meta["kind"] == "vae" else meta["attribute"])
-    if held != (kind, label):
-        raise ContainerError(
-            f"{path} holds {_describe_model(*held)}, expected {_describe_model(kind, label)}"
-        )
-    return model
-
-
-def _load_models_dir(models_dir):
-    models_dir = Path(models_dir)
-    public = _load_named_model(models_dir / "public_classifier.lann", "classifier", "public")
-    private = _load_named_model(models_dir / "private_classifier.lann", "classifier", "private")
-    vaes = {}
-    for path in sorted(models_dir.glob("vae_u*.lann")):
-        label = path.stem[len("vae_u"):]
-        u = int(label) if label.isdecimal() else label
-        vaes[u] = _load_named_model(path, "vae", u)
-    if not vaes:
-        raise ContainerError(f"no vae_u*.lann files in {models_dir}")
-    return vaes, public, private
-
-
-def _build_registry(args):
-    vaes, public_clf, private_clf = _load_models_dir(args.models)
-    table = load_table(args.table)
+def _load_registry(args):
     mode = {"det": "deterministic", "prob": "probabilistic"}.get(args.mode, args.mode)
-    policy = ModifyPolicy(mode=mode, n_classes=private_clf.n_classes)
-    registry = ModelRegistry(
-        vaes=vaes,
-        public_classifier=public_clf,
-        private_classifier=private_clf,
-        mean_table=table,
-        policy=policy,
-    )
-    defects = validate_registry(registry)
-    if defects:
-        raise PipelineError("invalid registry:\n" + "\n".join(f"  - {d}" for d in defects))
-    return registry
+    return load_registry(args.models, args.table, mode)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -186,17 +117,14 @@ def cmd_prepare(args, out):
     if args.schema == "synth":
         cfg = SynthConfig(seed=args.seed)
         if args.synth_config:
-            with open(args.synth_config, "r", encoding="utf-8") as f:
-                overrides = json.load(f)
-            unknown = sorted(set(overrides) - {f.name for f in fields(SynthConfig)})
-            if unknown:
-                raise ValueError(f"unknown keys in {args.synth_config}: {unknown}")
-            cfg = SynthConfig(**{**overrides, "seed": args.seed})
+            cfg = read_json_config(args.synth_config, SynthConfig, "synth config")
+            cfg = replace(cfg, seed=args.seed)
         series = synth_generate(cfg)
         n_public, n_private = cfg.n_public, cfg.n_private
         test_trials = None
     else:
-        schema = _resolve_schema(args)
+        preset = SCHEMA_PRESETS.get(args.schema)
+        schema = preset() if preset else CsvSchema.from_json(args.schema)
         if not args.data:
             raise CsvFormatError("--data is required for CSV schemas")
         series = load_csv_dir(args.data, schema)
@@ -214,7 +142,7 @@ def cmd_prepare(args, out):
 
     # an explicit --test-trials wins over the schema's test trials
     if args.test_trials is not None:
-        test_trials = _parse_ints(args.test_trials)
+        test_trials = _parse_list(args.test_trials, int)
     if args.split == "trial" or (args.split == "auto" and test_trials):
         split = trial_split(embeddings, test_trials or [11, 12, 13, 14, 15, 16])
     else:
@@ -229,21 +157,11 @@ def cmd_prepare(args, out):
             test=normalize(split.test, stats),
         )
 
-    meta = ArchiveMeta(
-        window=window,
-        stride=stride,
-        n_channels=n_channels,
-        n_public=n_public,
-        n_private=n_private,
-    )
+    meta = ArchiveMeta(window, stride, n_channels, n_public, n_private)
     save_embeddings(out.path("train.emba"), split.train, meta)
     save_embeddings(out.path("test.emba"), split.test, meta)
     manifest = {
-        "window": window,
-        "stride": stride,
-        "n_channels": n_channels,
-        "n_public": n_public,
-        "n_private": n_private,
+        **asdict(meta),
         "n_train": len(split.train),
         "n_test": len(split.test),
         "train_subjects": split.train_subjects,
@@ -253,7 +171,6 @@ def cmd_prepare(args, out):
     out.write_json("manifest.json", manifest)
     print(f"prepared {len(split.train)} train / {len(split.test)} test embeddings "
           f"(W={window}, S={stride}, C={n_channels}, U={n_public}, M={n_private})")
-    return 0
 
 
 def cmd_train(args, out):
@@ -272,7 +189,7 @@ def cmd_train(args, out):
     private_clf, hist = train_classifier(train, "private", config, n_classes=meta.n_private)
     curves += [("private_classifier", k, v) for k, v in enumerate(hist)]
 
-    vaes = {}
+    vaes, final_loss = {}, {}
     for u in range(meta.n_public):
         subset = [e for e in train if e.true_public == u]
         if not subset:
@@ -281,11 +198,12 @@ def cmd_train(args, out):
             subset, replace(config, seed=derive_seed(args.seed, u)), n_private=meta.n_private
         )
         curves += [(f"vae_u{u}", k, v) for k, v in enumerate(hist)]
+        final_loss[u] = hist[-1] if hist else None  # no epochs, no loss
 
-    save_model(out.path("public_classifier.lann"), public_clf, training_seed=args.seed)
-    save_model(out.path("private_classifier.lann"), private_clf, training_seed=args.seed)
+    save_model(out.path(model_file("classifier", "public")), public_clf, training_seed=args.seed)
+    save_model(out.path(model_file("classifier", "private")), private_clf, training_seed=args.seed)
     for u, vae in vaes.items():
-        save_model(out.path(f"vae_u{u}.lann"), vae, training_seed=args.seed)
+        save_model(out.path(model_file("vae", u)), vae, training_seed=args.seed)
     out.write_csv("losses.csv", ["model", "epoch", "loss"], curves)
 
     metrics = {
@@ -293,13 +211,12 @@ def cmd_train(args, out):
         "private_train_accuracy": evaluate_accuracy(private_clf, train, "private"),
         "public_test_accuracy": evaluate_accuracy(public_clf, test, "public") if test else None,
         "private_test_accuracy": evaluate_accuracy(private_clf, test, "private") if test else None,
-        "vae_final_loss": {u: [c for c in curves if c[0] == f"vae_u{u}"][-1][2] for u in vaes},
+        "vae_final_loss": final_loss,
         "classification_loss_logged_zero": args.alpha == 0.0,
     }
     out.write_json("metrics.json", metrics)
     print(f"trained {len(vaes)} VAEs and 2 classifiers; "
           f"test acc public={metrics['public_test_accuracy']} private={metrics['private_test_accuracy']}")
-    return 0
 
 
 def cmd_gridsearch(args, out):
@@ -312,7 +229,7 @@ def cmd_gridsearch(args, out):
     # alpha and beta are set per grid pair
     config = TrainConfig(epochs=args.epochs, seed=args.seed, latent_dim=args.latent_dim)
     result = grid_search(
-        datasets, _parse_floats(args.alphas), _parse_floats(args.betas), config,
+        datasets, _parse_list(args.alphas, float), _parse_list(args.betas, float), config,
         n_private=meta.n_private,
     )
     out.write_csv(
@@ -322,38 +239,31 @@ def cmd_gridsearch(args, out):
     out.write_json("best.json", {"alpha": result.best_alpha, "beta": result.best_beta,
                                  "avg_loss": result.best_entry.avg_loss})
     print(f"best pair: alpha={result.best_alpha} beta={result.best_beta}")
-    return 0
 
 
 def cmd_means(args, out):
     train, _, meta = _load_split_archives(args.archive)
-    vaes, _, _ = _load_models_dir(args.models)
+    vaes, _, _ = load_model_dir(args.models)
     # training split only; the table is the broadcast payload
     table = encode_mean_table(vaes, train, meta.n_public, meta.n_private)
     save_table(table, out.path("table.zbar"))
     cells = sorted(table.cells())
     print(f"mean table over {len(train)} train embeddings; cells: {cells}")
-    return 0
 
 
 def cmd_anonymize(args, out):
-    registry = _build_registry(args)
+    registry = _load_registry(args)
     noise_rng = np.random.default_rng(args.seed)
     if args.stream:
         return _anonymize_stream(args, out, registry, noise_rng)
-    base = Path(args.archive)
-    source = base / "test.emba" if base.is_dir() else base
-    embeddings, meta = load_embeddings(source)
+    embeddings, meta = load_embeddings(_archive_file(args.archive))
     outputs, records = anonymize_batch(embeddings, registry, noise_rng=noise_rng)
-    obfuscated = [
-        replace(e, x=outputs[k]) for k, e in enumerate(embeddings)
-    ]
+    obfuscated = [replace(e, x=outputs[k]) for k, e in enumerate(embeddings)]
     save_embeddings(out.path("anonymized.emba"), obfuscated, meta)
     _write_records(out, records)
     applied = float(np.mean([r.applied for r in records])) if records else 0.0
     print(f"anonymized {len(records)} embeddings (mode={registry.policy.mode}, "
           f"applied rate {applied:.3f})")
-    return 0
 
 
 def _write_records(out, records):
@@ -390,16 +300,14 @@ def _anonymize_stream(args, out, registry, noise_rng):
                 records.append(record)
         _write_records(out, records)
         print(f"anonymized {len(records)} stream windows")
-        return 0
     finally:
         if source is not sys.stdin:
             source.close()
 
 
 def cmd_attack(args, out):
-    n_workers = _thread_cap()
     train, test, meta = _load_split_archives(args.archive)
-    registry = _build_registry(args)
+    registry = _load_registry(args)
     config = AttackConfig(
         sample_fraction=args.fraction,
         n_runs=args.runs,
@@ -409,27 +317,25 @@ def cmd_attack(args, out):
     factory = lambda run_seed: make_anonymizer(registry, seed=run_seed)
     report = run_reid_attack(
         factory, train, test, meta.n_private, config,
-        mode=registry.policy.mode, n_workers=n_workers,
+        mode=registry.policy.mode, n_workers=cores.CORES,
     )
     out.write_text("runs.csv", report.to_csv())
     out.write_text("summary.json", report.to_json() + "\n")
     print(f"re-identification accuracy over {config.n_runs} runs: "
           f"mean {report.mean:.4f} std {report.std:.4f}")
-    return 0
 
 
 def cmd_eval(args, out):
     _, test, meta = _load_split_archives(args.archive)
     if args.mode == "none":
         # passthrough baseline: x_hat == x, so before and after match exactly
-        _, public_clf, private_clf = _load_models_dir(args.models)
+        _, public_clf, private_clf = load_model_dir(args.models)
         anonymize = lambda embeddings: np.stack([e.x for e in embeddings])
     else:
         if not args.table:
             raise PipelineError("--table is required unless --mode none")
-        registry = _build_registry(args)
-        public_clf = registry.public_classifier
-        private_clf = registry.private_classifier
+        registry = _load_registry(args)
+        public_clf, private_clf = registry.public_classifier, registry.private_classifier
         anonymize = make_anonymizer(registry, seed=args.seed)
     report = evaluate_utility_privacy(anonymize, test, public_clf, private_clf, meta.n_public)
     out.write_text("eval.csv", report.to_csv())
@@ -437,15 +343,13 @@ def cmd_eval(args, out):
     w = report.weighted
     print(f"weighted accuracy: public {w.public_before:.4f} -> {w.public_after:.4f}, "
           f"private {w.private_before:.4f} -> {w.private_after:.4f}")
-    return 0
 
 
 def cmd_bench(args, out):
-    registry = _build_registry(args)
+    registry = _load_registry(args)
     budget = bench_mod.time_budget_ms(args.rate, args.stride)
     if args.archive:
-        base = Path(args.archive)
-        embeddings, _ = load_embeddings(base / "test.emba" if base.is_dir() else base)
+        embeddings, _ = load_embeddings(_archive_file(args.archive))
         embeddings = embeddings[: args.count]
     else:
         dim = registry.public_classifier.input_dim
@@ -466,7 +370,6 @@ def cmd_bench(args, out):
         "margin_ms": verdict.margin_ms,
     }
     out.write_json("bench.json", payload)
-    return 0
 
 
 # --- parser --------------------------------------------------------------------
@@ -478,13 +381,24 @@ def build_parser():
         description="Anonymize windowed sensor data via latent-space transformations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parents for the flags that several subcommands declare alike
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--archive", required=True, help="directory with train.emba/test.emba")
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--models", required=True, help="directory of trained models")
+    registry = argparse.ArgumentParser(add_help=False, parents=[models])
+    registry.add_argument("--table", required=True, help="class-mean table file")
 
-    p = sub.add_parser("prepare", help="window, label, split and archive a dataset")
+    p = sub.add_parser("prepare", parents=[seeded],
+                       help="window, label, split and archive a dataset")
     p.add_argument("--schema", required=True,
-                   help="'synth', 'motionsense', 'mobiact', 'mobiact-weight' or a schema JSON path")
+                   help=f"'synth', {', '.join(map(repr, SCHEMA_PRESETS))} or a schema JSON path")
     p.add_argument("--data", help="directory of CSV files (not needed for synth)")
     p.add_argument("--synth-config", help="JSON overrides for the synthetic generator")
-    p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("--split", choices=["auto", "subject", "trial"], default="auto")
@@ -493,72 +407,54 @@ def build_parser():
                    help="comma-separated trials held out by the trial split; overrides the "
                         "schema's test_trials (default: the schema's, else 11,12,13,14,15,16)")
     p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train the classifiers and one VAE per public class")
-    p.add_argument("--archive", required=True, help="directory with train.emba/test.emba")
-    p.add_argument("--out", required=True, help="models output directory")
+    p = sub.add_parser("train", parents=[split, seeded],
+                       help="train the classifiers and one VAE per public class")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--latent-dim", type=int, default=8)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gridsearch", help="search the (alpha, beta) grid")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gridsearch", parents=[split, seeded],
+                       help="search the (alpha, beta) grid")
     p.add_argument("--alphas", default="0.5,1,2,3")
     p.add_argument("--betas", default="1,2,3,4")
     p.add_argument("--latent-dim", type=int, default=8)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("means", help="compute the class-mean latent table from the train split")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--models", required=True)
-    p.add_argument("--out", required=True, help="output directory for table.zbar")
+    p = sub.add_parser("means", parents=[split, models, out],
+                       help="compute the class-mean latent table from the train split")
     p.set_defaults(func=cmd_means)
 
-    p = sub.add_parser("anonymize", help="run the anonymization pipeline over an archive or stream")
+    p = sub.add_parser("anonymize", parents=[registry, seeded],
+                       help="run the anonymization pipeline over an archive or stream")
     p.add_argument("--archive", required=True,
                    help="archive file/directory, or sample file ('-' for stdin) with --stream")
-    p.add_argument("--models", required=True)
-    p.add_argument("--table", required=True)
     p.add_argument("--mode", choices=["det", "prob", "identity"], default="det")
     p.add_argument("--stream", action="store_true")
     p.add_argument("--window", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_anonymize)
 
-    p = sub.add_parser("attack", help="re-identification attack against the anonymizer")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--models", required=True)
-    p.add_argument("--table", required=True)
+    p = sub.add_parser("attack", parents=[split, registry, seeded],
+                       help="re-identification attack against the anonymizer")
     p.add_argument("--mode", choices=["det", "prob"], default="prob")
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("eval", help="utility/privacy accuracy before and after anonymization")
-    p.add_argument("--archive", required=True)
-    p.add_argument("--models", required=True)
+    p = sub.add_parser("eval", parents=[split, models, seeded],
+                       help="utility/privacy accuracy before and after anonymization")
     p.add_argument("--table", help="required unless --mode none")
     p.add_argument("--mode", choices=["det", "prob", "identity", "none"], default="det")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="per-stage latency against the real-time budget")
-    p.add_argument("--models", required=True)
-    p.add_argument("--table", required=True)
+    p = sub.add_parser("bench", parents=[registry, seeded],
+                       help="per-stage latency against the real-time budget")
     p.add_argument("--archive", help="optional embeddings source")
     p.add_argument("--mode", choices=["det", "prob", "identity"], default="det")
     p.add_argument("--rate", type=float, default=50.0)
@@ -566,8 +462,6 @@ def build_parser():
     p.add_argument("--count", type=int, default=256)
     p.add_argument("--warmup", type=int, default=100)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -578,19 +472,21 @@ _ERRORS = (PipelineError, ValueError, OSError)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = _Outputs(args.out)
     try:
         out.prepare()
-        code = args.func(args, out)
-        if code == 0:
-            out.write_json("config.json", {k: v for k, v in vars(args).items() if k != "func"})
-        return code
+        args.func(args, out)
+        out.write_json("config.json", {k: v for k, v in vars(args).items() if k != "func"})
+        return 0
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         out.cleanup()
         return 1
+    except BaseException:
+        # an unexpected failure is re-raised, but leaves no outputs either
+        out.cleanup()
+        raise
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 """The cores in the process's CPU affinity, for work large enough to split.
 
+CORES counts them at import (the machine's cores where the platform has no
+affinity call); the CLI's attack runs that many attack runs at once.
+
 One thread pool of one worker fewer than those cores serves the whole
 process: the row blocks of a large batch's model call (nn.layers.MLP) and an
 artefact's CRC32 beside its file I/O (container). The work it runs is numpy,
@@ -12,7 +15,10 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-_CORES = len(os.sched_getaffinity(0))
+try:
+    CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on macOS or Windows
+    CORES = os.cpu_count() or 1
 _pool = None
 _lock = threading.Lock()
 
@@ -23,21 +29,22 @@ def _forget_pool():
     _pool, _lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # Windows has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _get_pool():
     global _pool
     with _lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="latent-anon")
+            _pool = ThreadPoolExecutor(CORES - 1, thread_name_prefix="latent-anon")
         return _pool
 
 
 def submit(fn, *args):
     """fn(*args) started on the pool: its Future, or None when the process
     has one core and the caller should run fn itself."""
-    return None if _CORES < 2 else _get_pool().submit(fn, *args)
+    return None if CORES < 2 else _get_pool().submit(fn, *args)
 
 
 def map_rows(fn, x, out, blocks):
@@ -61,4 +68,4 @@ def blocks(rows, work, floor):
     """How many row blocks a batch of `rows` rows and `work` multiply-adds
     splits into: one per `floor` multiply-adds, at most one per row and one
     per core. Below 2 the caller runs the batch as one call."""
-    return min(_CORES, rows, work // floor)
+    return min(CORES, rows, work // floor)

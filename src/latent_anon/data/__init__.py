@@ -1,5 +1,6 @@
 from .archive import ArchiveError, ArchiveMeta, load_embeddings, save_embeddings
 from .csvload import CsvFormatError, CsvSchema, load_csv_dir, mobiact_schema, motionsense_schema
+from .csvload import SCHEMA_PRESETS, read_json_config
 from .labels import bin_weight
 from .normalize import NormStats, compute_norm_stats, denormalize, normalize
 from .split import subject_split, trial_split
@@ -16,6 +17,7 @@ __all__ = [
     "Embedding",
     "LabelSpace",
     "NormStats",
+    "SCHEMA_PRESETS",
     "SensorSeries",
     "SynthConfig",
     "bin_weight",
@@ -29,6 +31,7 @@ __all__ = [
     "normalize",
     "oracle_accuracy",
     "oracle_classify",
+    "read_json_config",
     "save_embeddings",
     "subject_split",
     "synth_generate",

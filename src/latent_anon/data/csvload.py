@@ -16,6 +16,7 @@ import json
 import re
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,27 @@ from .types import SensorSeries
 
 class CsvFormatError(ValueError):
     """One or more input files violate the declared schema."""
+
+
+def read_json_config(path, cls, what, error=ValueError):
+    """The dataclass cls built from the JSON object in the file at path. A
+    value that is not an object, a key cls does not declare and a missing
+    key without a default raise error, naming the file as `what path`."""
+    with open(path, "r", encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"unknown keys in {what} {path}: {unknown}")
+    missing = sorted(
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+    )
+    if missing:
+        raise error(f"{what} {path} lacks required keys: {missing}")
+    return cls(**raw)
 
 
 @dataclass
@@ -43,21 +65,7 @@ class CsvSchema:
 
     @staticmethod
     def from_json(path):
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise CsvFormatError(f"schema {path} is not a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(CsvSchema)})
-        if unknown:
-            raise CsvFormatError(f"unknown keys in schema {path}: {unknown}")
-        missing = sorted(
-            f.name
-            for f in fields(CsvSchema)
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
-        )
-        if missing:
-            raise CsvFormatError(f"schema {path} lacks required keys: {missing}")
-        return CsvSchema(**raw)
+        return read_json_config(path, CsvSchema, "schema", CsvFormatError)
 
 
 def motionsense_schema():
@@ -110,6 +118,14 @@ def mobiact_schema(private="gender"):
         private_column="weight" if private == "weight" else "gender",
         bin_weights=private == "weight",
     )
+
+
+# the schemas `latent-anon prepare --schema NAME` knows by name
+SCHEMA_PRESETS = {
+    "motionsense": motionsense_schema,
+    "mobiact": mobiact_schema,
+    "mobiact-weight": partial(mobiact_schema, private="weight"),
+}
 
 
 def _load_subjects_table(root, schema, problems):

@@ -14,7 +14,8 @@ end-to-end tests check trained models and the anonymization pipeline against.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +46,13 @@ class SynthConfig:
 
 
 def _check_config(cfg):
+    # a config read from JSON may hold any JSON value
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = numbers.Integral if f.type is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if f.type is int else "a number"
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
     if cfg.n_public < 1 or cfg.n_private < 1:
         raise ValueError("class counts must be at least 1")
     if cfg.separation <= 0:

@@ -1,6 +1,6 @@
 from .classifier import Classifier
 from .gridsearch import GridEntry, GridSearchResult, grid_search
-from .persist import ContainerError, load_model, save_model
+from .persist import ContainerError, load_model, load_model_dir, model_file, save_model
 from .training import TrainConfig, derive_seed, evaluate_accuracy, train_classifier, train_vae
 from .vae import (
     LatentDistribution,
@@ -26,7 +26,9 @@ __all__ = [
     "grid_search",
     "kl_gaussian",
     "load_model",
+    "load_model_dir",
     "loss_and_gradients",
+    "model_file",
     "reconstruction_loss",
     "sample_latent",
     "save_model",

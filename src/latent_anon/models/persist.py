@@ -6,6 +6,10 @@ shape and offset in the vector, so the body holds no tensor names. Files of
 version 1 and files without the magic, such as the bare payload from before
 the frame, are rejected. Parameters are raw float64, so round trips are
 bit-exact.
+
+A models directory holds one trained model set under the names model_file
+gives: public_classifier.lann, private_classifier.lann and vae_u<u>.lann for
+each public class u. load_model_dir reads it back.
 """
 
 import json
@@ -106,3 +110,44 @@ def _parse(header, body):
         raise ContainerError(f"model metadata {meta} has an invalid value: {exc}") from None
     model.parameter_vector[:] = params
     return model, meta
+
+
+def model_file(kind, label):
+    """The file name of a model in a models directory: the VAE of public
+    class label, or the classifier of attribute label."""
+    return f"vae_u{label}.lann" if kind == "vae" else f"{label}_classifier.lann"
+
+
+def _describe(kind, label):
+    return f"the VAE of public class {label!r}" if kind == "vae" else f"the {label} classifier"
+
+
+def _load_named(path, kind, label):
+    """The model in path, which must be the one its file name says. A file
+    that fails to load is named in the error."""
+    try:
+        model, meta = load_model(path)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
+    held = (meta["kind"], meta["public_class"] if meta["kind"] == "vae" else meta["attribute"])
+    if held != (kind, label):
+        raise ContainerError(f"{path} holds {_describe(*held)}, expected {_describe(kind, label)}")
+    return model
+
+
+def load_model_dir(models_dir):
+    """The model set of a models directory: (VAEs by public class, public
+    classifier, private classifier). Each file must hold the model its name
+    says, and at least one VAE must be there."""
+    models_dir = Path(models_dir)
+    public = _load_named(models_dir / model_file("classifier", "public"), "classifier", "public")
+    private = _load_named(models_dir / model_file("classifier", "private"), "classifier", "private")
+    pattern = model_file("vae", "*")
+    vaes = {}
+    for path in sorted(models_dir.glob(pattern)):
+        label = path.stem.removeprefix("vae_u")
+        u = int(label) if label.isdecimal() else label
+        vaes[u] = _load_named(path, "vae", u)
+    if not vaes:
+        raise ContainerError(f"no {pattern} files in {models_dir}")
+    return vaes, public, private

@@ -37,8 +37,9 @@ from time import perf_counter
 
 import numpy as np
 
+from .models.persist import load_model_dir
 from .models.vae import sample_latent
-from .transform import TableError, compute_mean_table
+from .transform import ModifyPolicy, TableError, compute_mean_table, load_table
 
 STAGES = ("classify_public", "classify_private", "encode", "transform", "decode")
 
@@ -97,6 +98,21 @@ def validate_registry(registry):
             f"policy covers {policy.n_classes} private classes, classifier emits {m_count}"
         )
     return defects
+
+
+def load_registry(models_dir, table_path, mode):
+    """The registry of a received model set: the models directory
+    (models.persist.load_model_dir), the mean table file and a Modify mode,
+    "deterministic", "probabilistic" or "identity". An incoherent set
+    raises PipelineError listing every defect validate_registry finds."""
+    vaes, public, private = load_model_dir(models_dir)
+    table = load_table(table_path)
+    policy = ModifyPolicy(mode=mode, n_classes=private.n_classes)
+    registry = ModelRegistry(vaes, public, private, table, policy)
+    defects = validate_registry(registry)
+    if defects:
+        raise PipelineError("invalid registry:\n" + "\n".join(f"  - {d}" for d in defects))
+    return registry
 
 
 @dataclass

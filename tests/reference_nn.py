@@ -78,6 +78,6 @@ def row_blocks(n_cores, floor=None):
     rows is split). Yields a spy on cores.map_rows, the blocked path; one
     core is the one-block reference."""
     floor = layers._BLOCK_MACS if floor is None else floor
-    with mock.patch.object(cores, "_CORES", n_cores), mock.patch.object(layers, "_BLOCK_MACS", floor), \
+    with mock.patch.object(cores, "CORES", n_cores), mock.patch.object(layers, "_BLOCK_MACS", floor), \
             mock.patch.object(cores, "map_rows", wraps=cores.map_rows) as spy:
         yield spy

@@ -5,13 +5,15 @@ import json
 import re
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from latent_anon import cli, cores
 from latent_anon.cli import build_parser, main
 from latent_anon.container import unframe, write_framed
-from latent_anon.data import load_embeddings
+from latent_anon.data import load_embeddings, save_embeddings
 from latent_anon.models import ContainerError, persist
 from latent_anon.transform import compute_mean_table, load_table, save_table
 
@@ -135,6 +137,16 @@ class TestTrain:
         metrics = json.loads((workspace["models"] / "metrics.json").read_text())
         assert metrics["public_test_accuracy"] > 0.9
         assert metrics["private_test_accuracy"] > 0.9
+
+    def test_zero_epochs_keeps_the_initial_models(self, workspace, tmp_path):
+        out = tmp_path / "models0"
+        assert main([
+            "train", "--archive", str(workspace["data"]), "--out", str(out), "--epochs", "0",
+        ]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["vae_final_loss"] == {"0": None, "1": None}
+        assert (out / "losses.csv").read_bytes() == b"model,epoch,loss\r\n"
+        assert (out / "vae_u1.lann").stat().st_size > 0
 
     def test_alpha_zero_logs_classification_as_zero(self, workspace, tmp_path):
         out = tmp_path / "models0"
@@ -296,6 +308,19 @@ class TestEvalAttackBench:
         assert reports[0]["accuracies"] == reports[1]["accuracies"]
         assert reports[0]["config"] == {"sample_fraction": 0.2, "n_runs": 2, "seed": 11}
 
+    def test_attack_runs_do_not_depend_on_the_core_count(self, workspace, tmp_path, monkeypatch):
+        runs = []
+        for n_cores in (1, 2):
+            monkeypatch.setattr(cores, "CORES", n_cores)
+            out = tmp_path / f"cores{n_cores}"
+            assert main([
+                "attack", "--archive", str(workspace["data"]), "--models", str(workspace["models"]),
+                "--table", str(workspace["table"]), "--mode", "det",
+                "--runs", "3", "--epochs", "5", "--seed", "4", "--out", str(out),
+            ]) == 0
+            runs.append((out / "runs.csv").read_bytes())
+        assert runs[0] == runs[1]
+
     def test_bench_prints_budget(self, workspace, tmp_path, capsys):
         out = tmp_path / "bench"
         assert main([
@@ -366,18 +391,30 @@ class TestOutputFormats:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-    def test_invalid_thread_cap_is_an_error(self, workspace, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("LATENT_ANON_THREADS", value)
-        out = tmp_path / "attack"
-        code = main([
-            "attack", "--archive", str(workspace["data"]), "--models", str(workspace["models"]),
-            "--table", str(workspace["table"]), "--runs", "1", "--epochs", "1", "--out", str(out),
-        ])
+    def test_archives_with_disagreeing_headers(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(workspace["data"] / "train.emba", data / "train.emba")
+        test, meta = load_embeddings(workspace["data"] / "test.emba")
+        save_embeddings(data / "test.emba", test, replace(meta, n_private=3))
+        out = tmp_path / "table"
+        code = main(["means", "--archive", str(data), "--models", str(workspace["models"]),
+                     "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: LATENT_ANON_THREADS must be an integer >= 1, got {value!r}\n"
+            "error: train and test archives disagree on their headers\n"
         )
+        assert list(out.iterdir()) == []
+
+    def test_unexpected_error_is_raised_and_leaves_nothing(self, workspace, tmp_path, monkeypatch):
+        # fails after every model file is written
+        def broken(*args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(cli, "evaluate_accuracy", broken)
+        out = tmp_path / "models"
+        with pytest.raises(RuntimeError, match="broken"):
+            main(["train", "--archive", str(workspace["data"]), "--out", str(out), "--epochs", "1"])
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -490,6 +527,27 @@ class TestErrorPaths:
         ])
         assert code == 1
         assert "['amp_base']" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (5, "synth config {path} is not a JSON object"),
+            (["seed"], "synth config {path} is not a JSON object"),
+            ({"n_public": "x"}, "n_public must be an integer, got 'x'"),
+        ],
+        ids=["number", "list", "wrong-type"],
+    )
+    def test_malformed_synth_config_is_an_error(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main([
+            "prepare", "--schema", "synth", "--synth-config", str(cfg), "--out", str(out),
+            "--window", "8", "--stride", "4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
         assert list(out.iterdir()) == []
 
     def test_trial_split_with_an_empty_side_fails(self, tmp_path, capsys):

@@ -181,7 +181,7 @@ class TestOverlappedChecksum:
     def test_flipped_label_reports_the_checksum_first(self, artefacts, n_cores, monkeypatch):
         # the flip puts record 37's private label out of range, which the
         # body's parse would name, but the CRC has not matched
-        monkeypatch.setattr(cores, "_CORES", n_cores)
+        monkeypatch.setattr(cores, "CORES", n_cores)
         directory, framed = artefacts
         raw = bytearray(framed["emba-large"])
         start = 6 + struct.calcsize("<IIIIIQ")  # magic, version, header
@@ -200,7 +200,7 @@ class TestOverlappedChecksum:
         body = np.random.default_rng(size).bytes(size)
         files = []
         for n_cores, overlap in ((1, 2**62), (2, 2**62), (2, 0), (3, 0)):
-            monkeypatch.setattr(cores, "_CORES", n_cores)
+            monkeypatch.setattr(cores, "CORES", n_cores)
             monkeypatch.setattr(container, "_OVERLAP_BYTES", overlap)
             path = tmp_path / f"{n_cores}-{overlap}"
             write_framed(path, b"TEST1", 1, b"head", body[:7], memoryview(body)[7:])

@@ -378,3 +378,13 @@ def test_import_starts_no_thread():
         "assert threading.active_count() == 1 and latent_anon.cores._pool is None"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_import_without_an_affinity_call():
+    # macOS lacks sched_getaffinity, and Windows register_at_fork as well
+    code = (
+        "import os; del os.sched_getaffinity, os.register_at_fork; "
+        "import latent_anon, latent_anon.cores; "
+        "assert latent_anon.cores.CORES == (os.cpu_count() or 1)"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
